@@ -21,6 +21,7 @@ the spec path, the --out override, or stdout, with numbers rendered at
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -408,7 +409,8 @@ def _emit_error(kind: str, exc: BaseException) -> None:
     print(json.dumps(obj), file=sys.stderr)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mittag-kinetics",
         description="Fractional kinetic solvers, Mittag-Leffler evaluation, and "
@@ -424,7 +426,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         p.add_argument("--tol", type=float,
                        help="numerical tolerance where the task has one")
         p.add_argument("--grid", help="START:STOP:N override of the spec grid")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         spec = _load_spec(args.spec)

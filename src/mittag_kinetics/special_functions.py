@@ -24,21 +24,44 @@ small term).  Arguments beyond ``max_abs_z`` are refused with
 Alternating arguments are the numerically hostile direction: the terms
 of E[1/2](-6) peak fourteen orders of magnitude above the final sum, so
 a double-precision summation returns noise while appearing to converge.
-Both ``ml_eval`` and ``wright_eval`` therefore track the peak term
-magnitude and rerun the summation in mpmath arbitrary precision whenever
-the cancellation estimate would eat into the promised digits; the
-fallback widens its working precision until at least fifteen significant
-digits survive the cancellation.
+``ml_eval`` therefore tracks the peak term magnitude and, when the
+cancellation estimate would eat into the promised digits (or a term
+would overflow), evaluates in three stages:
+
+1. the float series, which alone settles mild arguments, domain
+   refusals and term-budget failures;
+2. the trapezoid rule on Garrappa's optimal parabolic contour for the
+   inverse Laplace transform of s^(nu*gamma-mu) / (s^nu - z)^gamma,
+   in double precision, about 1e-13 relative (4.4e-12 at worst in seeded
+   sweeps against the mpmath series, gamma = 3 at z = -50 where E is near
+   1e-5 and the contour's 1e-15 target is absolute).  Route A: z < 0 with
+   0 < nu < 1 and gamma > 0 (no pole on the principal sheet, only the
+   branch point at 0).  Route B: gamma = 1 with 0 < nu < 2 and either
+   sign of z (simple poles, whose residues are added when they lie to
+   the right of the contour).  A contour value is kept only if the
+   parameter search met a tolerance of 1e-13 or better within 200 nodes
+   a side and its rounding estimate stays within 1e-13 of the result.
+   A double sum that fails this guard, mostly one near a zero of E, is
+   redone in numpy's extended long double where that is wider (x86:
+   64-bit mantissa, target 1e-18, the same guard with its epsilon);
+3. otherwise, and for every other input, the series rerun in mpmath
+   arbitrary precision, widened until at least fifteen significant
+   digits survive the cancellation.
+
+``wright_eval`` uses the same mpmath rerun.  A value beyond float range
+is refused with ``DomainError`` rather than returned as ``inf``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import mpmath as mp
+import numpy as np
 from scipy.special import gammaln, gammasgn, loggamma
 
 from .errors import DomainError, NonConvergence, PoleError
@@ -69,6 +92,25 @@ _MP_FALLBACK_RATIO = 300.0
 
 #: Log of the largest term magnitude the float path will exponentiate.
 _LOG_OVERFLOW = 690.0
+
+#: Garrappa's contour: the precisions its sum is tried in, each with its
+#: target accuracy and the relaxed ones the parameter search may fall
+#: back to before that precision is given up, and the most trapezoid
+#: nodes on each side of the real axis.  Extended precision (numpy's
+#: long double, where it is wider than double as on x86) takes the values
+#: whose double sum fails the rounding guard, mostly those near a zero
+#: of E, before the mpmath series does.
+_CONTOUR_PRECISIONS = ((np.float64, (1e-15, 1e-14, 1e-13)),) + (
+    ((np.longdouble, (1e-18, 1e-17, 1e-16)),) if np.finfo(np.longdouble).eps < 1e-18 else ()
+)
+_CONTOUR_MAX_NODES = 200
+
+#: Largest accepted rounding estimate eps * h * sum|S_k| / (2 pi |E|) of
+#: a contour value, eps that of the precision summed in; beyond it the
+#: value has lost its relative accuracy (near a zero of E).
+_CONTOUR_ROUNDING_MAX = 1e-13
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -192,12 +234,16 @@ def ml_eval(params: MLParams, z: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFI
     log-Gamma accumulate incrementally) with explicit sign tracking, then
     summed with Kahan compensation.  If the peak term magnitude dwarfs
     the final sum -- the cancellation regime of strongly negative z --
-    the summation is redone in mpmath at a working precision wide enough
-    to leave fifteen clean digits.
+    or a term would overflow, the value comes from Garrappa's parabolic
+    contour in double precision (z < 0 with 0 < nu < 1 and gamma > 0, or
+    gamma = 1 with 0 < nu < 2; about 1e-13 relative) when that passes
+    its accuracy guard in double or, failing that, in extended precision,
+    and otherwise from the series redone in mpmath at
+    a working precision wide enough to leave fifteen clean digits.
 
-    Raises ``DomainError`` for |z| beyond ``cfg.max_abs_z`` and
-    ``NonConvergence`` if the termination criterion is not met within
-    ``cfg.max_terms`` terms.
+    Raises ``DomainError`` for |z| beyond ``cfg.max_abs_z`` or a value
+    beyond float range, and ``NonConvergence`` if the termination
+    criterion is not met within ``cfg.max_terms`` terms.
     """
     z = float(z)
     if abs(z) > cfg.max_abs_z:
@@ -228,7 +274,7 @@ def ml_eval(params: MLParams, z: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFI
             break  # Pochhammer hit zero: the series terminated exactly
         log_term = log_poch + k * log_abs_z - lgamma(mu + k * nu)
         if log_term > _LOG_OVERFLOW:
-            return _ml_eval_mp(params, z, cfg, _ml_log10_peak(params, z, cfg))
+            return _ml_eval_cancelling(params, z, cfg, None)
         term = sign_front * math.exp(log_term)
         y = term - comp
         t = total + y
@@ -266,8 +312,21 @@ def ml_eval(params: MLParams, z: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFI
         )
 
     if peak > _MP_FALLBACK_RATIO * max(abs(total), cfg.abs_floor):
-        return _ml_eval_mp(params, z, cfg, math.log10(peak))
+        return _ml_eval_cancelling(params, z, cfg, math.log10(peak))
     return total
+
+
+def _ml_eval_cancelling(
+    params: MLParams, z: float, cfg: SeriesConfig, log10_peak: float | None
+) -> float:
+    """The contour value where it is routed and passes its guard, else the
+    mpmath series (``log10_peak`` None: scan for the peak first)."""
+    value = _ml_contour(params, z)
+    if value is not None:
+        return value
+    if log10_peak is None:
+        log10_peak = _ml_log10_peak(params, z, cfg)
+    return _ml_eval_mp(params, z, cfg, log10_peak)
 
 
 def _ml_log10_peak(params: MLParams, z: float, cfg: SeriesConfig) -> float:
@@ -337,7 +396,10 @@ def _mp_sum(make_term: Callable[[], Callable[[int], object]], cfg: SeriesConfig,
             else:
                 lost = 0.0
             if dps - lost >= 15.0:
-                return float(total)
+                value = float(total)
+                if not math.isfinite(value):
+                    raise DomainError(f"{what}: value {mp.nstr(total, 5)} exceeds float range")
+                return value
         dps = int(lost) + 22
     raise NonConvergence(f"{what}: cancellation exceeded the precision budget")
 
@@ -351,15 +413,17 @@ def _ml_eval_mp(params: MLParams, z: float, cfg: SeriesConfig, log10_peak: float
         # Gamma arguments must be formed in mpf arithmetic: rounding
         # mu + k*nu in float64 perturbs huge terms by ~1e-13 relative,
         # which cancellation amplifies into a completely wrong sum
+        # (so is the Pochhammer factor gamma + k, for the same reason)
         nu_mp = mp.mpf(nu)
         mu_mp = mp.mpf(mu)
+        gam_mp = mp.mpf(gam)
 
         def term(k: int):
             if state["done"]:
                 return None
             val = state["front"] / mp.gamma(mu_mp + nu_mp * k)
-            g = gam + k
-            if g == 0.0:
+            g = gam_mp + k
+            if g == 0:
                 state["done"] = True
             else:
                 state["front"] = state["front"] * g * zz / (k + 1)
@@ -368,6 +432,187 @@ def _ml_eval_mp(params: MLParams, z: float, cfg: SeriesConfig, log10_peak: float
         return term
 
     return _mp_sum(make_term, cfg, log10_peak, "Mittag-Leffler series")
+
+
+def _phi(s: complex) -> float:
+    """Parameter of the parabola mu (1 + iu)^2 through s: (Re s + |s|) / 2."""
+    return (s.real + abs(s)) / 2.0
+
+
+def _ml_contour(params: MLParams, z: float) -> float | None:
+    """E[nu, mu, gamma](z) by the trapezoid rule on an optimal parabolic
+    contour (R. Garrappa, SIAM J. Numer. Anal. 53 (2015) 1350-1369, after
+    Weideman & Trefethen, Math. Comp. 76 (2007) 1341-1356), at t = 1.
+
+    E is the inverse Laplace transform of s^(nu gamma - mu) / (s^nu - z)^gamma.
+    Of the regions between its singularities (the branch point at 0 and
+    the poles of the principal sheet, ordered by ``_phi``) the one needing
+    the fewest nodes carries the contour; the poles to its right add their
+    residues.  The sum is tried in each of ``_CONTOUR_PRECISIONS`` in turn.
+    Returns None outside routes A and B (see the module docstring) or when
+    the value fails its accuracy guard in every precision; raises
+    ``DomainError`` when the value exceeds float range.
+    """
+    nu, mu, gam = params.nu, params.mu, params.gamma
+    if not ((z < 0 and nu < 1 and gam > 0) or (gam == 1 and nu < 2)):
+        return None
+    # route A has no pole on the principal sheet; route B has simple ones
+    theta = math.pi if z < 0 else 0.0
+    k_lo = math.ceil(-nu / 2 - theta / (2 * math.pi))
+    k_hi = math.floor(nu / 2 - theta / (2 * math.pi))
+    poles = []
+    if k_lo <= k_hi:
+        log_radius = math.log(abs(z)) / nu
+        if log_radius > _LOG_FLOAT_MAX:  # only z > 0 gets here: e^radius overflows
+            raise _beyond_float_range(params, z)
+        radius = math.exp(log_radius)
+        poles = [(k, cmath.rect(radius, (theta + 2 * math.pi * k) / nu))
+                 for k in range(k_lo, k_hi + 1)]
+        poles = sorted((pole for pole in poles if _phi(pole[1]) > 1e-15), key=lambda p: _phi(p[1]))
+    phis = [0.0] + [_phi(s) for _, s in poles] + [math.inf]
+    p_origin = max(0.0, -2.0 * (nu * gam - mu + 1.0))
+
+    for real, tols in _CONTOUR_PRECISIONS:
+        found = _contour_param(phis, p_origin, float(np.finfo(real).eps), tols)
+        if found is None:
+            continue
+        region, scale, h, n = found
+        for _, pole in poles[region:]:
+            if (pole + (1.0 - mu) * cmath.log(pole)).real - math.log(nu) > _LOG_FLOAT_MAX:
+                raise _beyond_float_range(params, z)
+        value, rounding = _contour_sum(params, z, [k for k, _ in poles[region:]],
+                                       scale, h, n, real)
+        if not math.isfinite(value):
+            raise _beyond_float_range(params, z)
+        if rounding <= _CONTOUR_ROUNDING_MAX * abs(value):
+            return value
+    return None
+
+
+def _contour_param(
+    phis: list[float], p_origin: float, eps: float, tols: tuple[float, ...]
+) -> tuple[int, float, float, int] | None:
+    """(region, mu, h, N) of the parabola needing the fewest nodes, at the
+    first of ``tols`` some region meets within ``_CONTOUR_MAX_NODES``
+    nodes, or None.  ``phis`` are 0, the poles' and inf, in order."""
+    log_eps = math.log(eps)
+    # contours beyond this phi would sum exponentials rounding cannot hold
+    limit = math.log(tols[0]) - log_eps
+    regions = [j for j in range(len(phis) - 1) if phis[j] < limit and phis[j] < phis[j + 1]]
+    for tol in tols:
+        log_tol = math.log(tol)
+        best = None
+        for j in regions:
+            p_j = p_origin if j == 0 else 1.0
+            if j < len(phis) - 2:
+                found = _contour_param_bounded(phis[j], phis[j + 1], p_j, log_tol, log_eps)
+            else:
+                found = _contour_param_unbounded(phis[j], p_j, log_tol, log_eps)
+            if found is not None and (best is None or found[2] < best[2]):
+                best = (j, *found)
+        if best is not None and best[3] <= _CONTOUR_MAX_NODES:
+            return best
+    return None
+
+
+def _contour_sum(
+    params: MLParams, z: float, ks: list[int], scale: float, h: float, n: int, real: type
+) -> tuple[float, float]:
+    """The trapezoid sum on the parabola scale (1 + iu)^2, u = 0, +-h, ..,
+    +-n h, plus the residues of the poles numbered ``ks`` (angle
+    (arg z + 2 pi k) / nu), summed in the float type ``real``; and its
+    rounding estimate eps h sum|S_k| / (2 pi)."""
+    nu, mu, gam, zz = real(params.nu), real(params.mu), real(params.gamma), real(z)
+    u = h * np.arange(n + 1, dtype=real)
+    s = scale * (1 + 1j * u) ** 2
+    ds = 2 * scale * (1j - u)
+    terms = np.exp(s) * s ** (nu * gam - mu) / (s**nu - zz) ** gam * ds
+    # the nodes at -u are mirror images: S(-u) = -conj(S(u))
+    pi = np.arccos(real(-1))
+    value = real(h) / (2 * pi) * (terms[0].imag + 2 * terms[1:].imag.sum())
+    if ks:
+        angle = ((pi if z < 0 else 0) + 2 * pi * np.array(ks, dtype=real)) / nu
+        poles = np.exp(np.log(abs(zz)) / nu) * (np.cos(angle) + 1j * np.sin(angle))
+        # (1/nu) s*^(1-mu) e^(s*)
+        value += np.exp(poles + (1 - mu) * np.log(poles)).real.sum() / nu
+    abs_sum = abs(terms[0]) + 2 * np.abs(terms[1:]).sum()
+    rounding = float(np.finfo(real).eps) * h / (2 * math.pi) * float(abs_sum)
+    return float(value), rounding
+
+
+def _beyond_float_range(params: MLParams, z: float) -> DomainError:
+    return DomainError(f"Mittag-Leffler value exceeds float range ({params}, z={z})")
+
+
+def _contour_param_bounded(
+    phi_j: float, phi_j1: float, p_j: float, log_tol: float, log_eps: float
+) -> tuple[float, float, int] | None:
+    """Garrappa's OptimalParam_RB at t = 1: (mu, h, N) of the parabola
+    between singularities of strengths p_j (below) and 1 (above, a simple
+    pole), or None when no parabola there meets ``log_tol`` with rounding
+    at ``log_eps``."""
+    f_max = math.exp(log_tol - log_eps)
+    sq_j = math.sqrt(phi_j)
+    sq_j1 = min(math.sqrt(phi_j1), 2.0 * math.sqrt(log_tol - log_eps) - sq_j)
+    if p_j < 1e-14:  # only the branch point at 0 has strength 0, so sq_j = 0
+        f_bar = 1.01 + 1.01 / f_max * (f_max - 1.01)
+        bar_j = 0.0
+        bar_j1 = 2.0 * sq_j1 / (2.0 + 1.0 / f_bar)
+    else:
+        f_min = 1.01 * (sq_j + sq_j1) / (sq_j1 - sq_j) ** max(p_j, 1.0)
+        if f_min >= f_max:
+            return None
+        f_min = max(f_min, 1.5)
+        f_bar = f_min + f_min / f_max * (f_max - f_min)
+        fp = f_bar ** (-1.0 / p_j)
+        fq = 1.0 / f_bar
+        w = -phi_j1 / log_tol
+        den = 2.0 + w - (1.0 + w) * fp + fq
+        bar_j = ((2.0 + w + fq) * sq_j + fp * sq_j1) / den
+        bar_j1 = (-(1.0 + w) * fq * sq_j + (2.0 + w - (1.0 + w) * fp) * sq_j1) / den
+    log_tol -= math.log(f_bar)
+    w = -bar_j1**2 / log_tol
+    scale = (((1.0 + w) * bar_j + bar_j1) / (2.0 + w)) ** 2
+    h = -2.0 * math.pi / log_tol * (bar_j1 - bar_j) / ((1.0 + w) * bar_j + bar_j1)
+    return scale, h, math.ceil(math.sqrt(1.0 - log_tol / scale) / h)
+
+
+def _contour_param_unbounded(
+    phi_j: float, p_j: float, log_tol: float, log_eps: float
+) -> tuple[float, float, int] | None:
+    """Garrappa's OptimalParam_RU at t = 1: (mu, h, N) of the parabola to
+    the right of every singularity, the last of strength p_j at ``phi_j``,
+    or None when rounding at ``log_eps`` leaves no admissible parabola."""
+    sq_phi = math.sqrt(phi_j)
+    phibar = 1.01 * phi_j if phi_j > 0 else 0.01
+    sq_phibar = math.sqrt(phibar)
+    f_target = 5.0
+    for _ in range(50):
+        log_ratio = log_tol / phibar
+        n = math.ceil(phibar / math.pi * (1.0 - 1.5 * log_ratio + math.sqrt(1.0 - 2.0 * log_ratio)))
+        a = math.pi * n / phibar
+        sq_scale = sq_phibar * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
+        if p_j < 1e-14 or 1.0 < ((sq_phibar - sq_phi) / sq_scale) ** (-p_j) < 10.0:
+            break
+        sq_phibar = f_target ** (-1.0 / p_j) * sq_scale + sq_phi
+        phibar = sq_phibar**2
+    else:
+        return None
+    scale = sq_scale**2
+    h = (-3.0 * a - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
+    # keep the largest exponential on the contour within rounding reach
+    threshold = log_tol - log_eps
+    if scale > threshold:
+        q = 0.0 if p_j < 1e-14 else f_target ** (-1.0 / p_j) * math.sqrt(scale)
+        phibar = (q + sq_phi) ** 2
+        if phibar >= threshold:
+            return None
+        w = math.sqrt(log_eps / (log_eps - log_tol))
+        u = math.sqrt(-phibar / log_eps)
+        scale = threshold
+        n = math.ceil(w * log_tol / (2.0 * math.pi * (u * w - 1.0)))
+        h = w / n
+    return scale, h, n
 
 
 def f_function(q: float, a: float, t: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> float:
@@ -535,10 +780,16 @@ def _wright_eval_mp(params: WrightParams, z: float, cfg: SeriesConfig, log10_pea
 def hyp1f1(
     gamma1: float, beta1: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG
 ) -> float:
-    """Confluent hypergeometric series 1F1(gamma1; beta1; x) = sum (g)_k/((b)_k k!) x^k."""
+    """Confluent hypergeometric series 1F1(gamma1; beta1; x) = sum (g)_k/((b)_k k!) x^k.
+
+    For x < 0 the series alternates and cancels; Kummer's transformation
+    1F1(g; b; x) = e^x 1F1(b - g; b; -x) sums the non-alternating one instead.
+    """
     if _near_nonpositive_int(beta1):
         raise DomainError(f"beta1 must not be a non-positive integer, got {beta1}")
     x = float(x)
+    if x < 0:
+        return math.exp(x) * hyp1f1(beta1 - gamma1, beta1, -x, cfg)
     term = 1.0
     total = 0.0
     comp = 0.0

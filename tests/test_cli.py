@@ -83,6 +83,28 @@ class TestEvalTasks:
         row = capsys.readouterr().out.strip().splitlines()[1]
         assert float(row.split(",")[1]) == pytest.approx(math.exp(0.7), rel=1e-12)
 
+    def test_tasks_back_to_back_in_one_process(self, tmp_path, capsys):
+        # the parser is built once per process: flags given to one call
+        # (--grid, --format) must not carry over to the next
+        kinetic = write_spec(tmp_path, basic_spec(), "kinetic.json")
+        ml = write_spec(tmp_path, {
+            "version": "1",
+            "parameters": {"nu": 1.0},
+            "grid": {"start": 1.0, "stop": 1.0, "n": 1},
+        }, "ml.json")
+        assert main(["solve-kinetic", "--spec", kinetic, "--grid", "0.5:1.0:2",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [row[0] for row in payload["rows"]] == [0.5, 1.0]
+        assert main(["eval-ml", "--spec", ml]) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        assert header == "z,value"
+        assert float(row.split(",")[1]) == pytest.approx(math.e, rel=1e-12)
+        assert main(["solve-kinetic", "--spec", kinetic]) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        assert header == "t,N"
+        assert float(row.split(",")[1]) == pytest.approx(math.exp(-1.0), rel=1e-12)
+
     def test_series_domain_precheck(self, tmp_path):
         spec = {
             "version": "1",

@@ -5,13 +5,17 @@ direct summation of the defining series and frozen here.
 """
 
 import math
+import time
 
+import mpmath as mp
+import numpy as np
 import pytest
 import scipy.special as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mittag_kinetics.errors import DomainError, NonConvergence, PoleError
+from mittag_kinetics import special_functions
 from mittag_kinetics.special_functions import (
     HFunctionParams,
     MLParams,
@@ -191,6 +195,169 @@ class TestMLEval:
         ) / nu
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
+    def test_fractional_gamma_pochhammer_in_mp_rerun(self):
+        # nu >= 1 with non-integer gamma stays on the mpmath rerun, whose
+        # Pochhammer factor gamma + k must not be rounded to float64
+        got = ml_eval(MLParams(nu=1.1, mu=1.3, gamma=1.6), -20.0)
+        assert got == pytest.approx(-2.6627629338783773e-3, rel=1e-12, abs=0)
+
+    def test_overflow_is_refused_fast(self):
+        # E_{1/2}(30) is about e^900: a typed refusal, not inf after seconds
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            ml_eval(MLParams(nu=0.5), 30.0)
+        assert time.perf_counter() - start < 0.25
+
+    def test_mp_rerun_refuses_values_beyond_float_range(self):
+        def make_term():
+            return lambda k: mp.mpf(10) ** 400 if k == 0 else None
+
+        with pytest.raises(DomainError):
+            special_functions._mp_sum(make_term, SeriesConfig(), 400.0, "test series")
+
+
+def _ml_series_oracle(nu, mu, gamma, z):
+    """E[nu, mu, gamma](z), gamma > 0, by the defining series in mpmath.
+
+    A float scan of log|term_k| fixes the last term and the working
+    precision (the peak term's digits plus a guard, where terms alternate);
+    the sum is redone wider if it comes out further below the peak than
+    the guard allows.
+    """
+    log_z = math.log(abs(z))
+    peak, k = -math.inf, 0
+    while True:
+        lt = (math.lgamma(gamma + k) - math.lgamma(gamma) - math.lgamma(k + 1.0)
+              + k * log_z - math.lgamma(mu + k * nu))
+        peak = max(peak, lt)
+        if lt < (peak if z > 0 else min(peak, 0.0)) - 60 * math.log(10.0) and k > 2:
+            break
+        k += 1
+    peak10 = max(peak, 0.0) / math.log(10.0)
+    dps = 30 + (0 if z > 0 else int(peak10))
+    while True:
+        with mp.workdps(dps):
+            g, zz, m, n = mp.mpf(gamma), mp.mpf(z), mp.mpf(mu), mp.mpf(nu)
+            front, terms = mp.mpf(1), []
+            for j in range(k + 1):
+                terms.append(front * mp.rgamma(m + j * n))
+                front *= (g + j) * zz / (j + 1)
+            total = mp.fsum(terms)
+            lost = peak10 - float(mp.log10(abs(total)))
+            if dps - lost >= 25:
+                return float(total)
+        dps = int(lost) + 35
+
+
+class TestMLContour:
+    """The double-precision contour route of ml_eval, held against
+    independent routes: the mpmath series, erfcx and Talbot inversion."""
+
+    BUDGET_S = 0.5
+
+    @staticmethod
+    def _sweep_points():
+        rng = np.random.default_rng(20150601)
+        points = []
+        # route A: z < 0, 0 < nu < 1, integer and non-integer gamma
+        for i in range(24):
+            nu = rng.uniform(0.5, 1.0)
+            x = math.exp(rng.uniform(math.log(10.0), math.log(200.0)))
+            gamma = (1.0, 2.0, 3.0, rng.uniform(0.3, 3.0))[i % 4]
+            points.append((nu, rng.uniform(0.3, 3.0), gamma, -min(x**nu, 50.0)))
+        # route B: gamma = 1, 1 <= nu < 2 for z < 0; z > 0 past float-series overflow
+        for _ in range(8):
+            points.append((rng.uniform(1.0, 1.95), rng.uniform(0.3, 3.0), 1.0,
+                           -rng.uniform(5.0, 50.0)))
+        for _ in range(8):
+            nu = rng.uniform(0.5, 0.6)
+            points.append((nu, rng.uniform(0.3, 3.0), 1.0, rng.uniform(400.0, 650.0) ** nu))
+        return points
+
+    def test_seeded_sweep_against_mp_series(self):
+        accepted = 0
+        points = self._sweep_points()
+        for nu, mu, gamma, z in points:
+            params = MLParams(nu=nu, mu=mu, gamma=gamma)
+            expected = _ml_series_oracle(nu, mu, gamma, z)
+            start = time.perf_counter()
+            got = ml_eval(params, z)
+            assert time.perf_counter() - start < self.BUDGET_S, (nu, mu, gamma, z)
+            assert got == pytest.approx(expected, rel=1e-11, abs=0), (nu, mu, gamma, z)
+            contour = special_functions._ml_contour(params, z)
+            if contour is not None:
+                accepted += 1
+                assert contour == pytest.approx(expected, rel=1e-11, abs=0), (nu, mu, gamma, z)
+        # the sweep must exercise the contour, not only the mpmath rerun
+        assert accepted >= 0.8 * len(points)
+
+    @pytest.mark.parametrize("x", [6.0, 20.0, 45.0])
+    def test_half_order_is_erfcx(self, x):
+        # E_{1/2}(-x) = exp(x^2) erfc(x) = erfcx(x)
+        start = time.perf_counter()
+        got = ml_eval(MLParams(nu=0.5), -x)
+        assert time.perf_counter() - start < self.BUDGET_S
+        assert got == pytest.approx(sp.erfcx(x), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("z", [-10.0, -20.0])
+    def test_small_order_against_talbot(self, z):
+        # E_{0.3}(z) inverts s^(nu - 1) / (s^nu - z) at t = 1; the series
+        # would need thousands of digits here
+        start = time.perf_counter()
+        got = ml_eval(MLParams(nu=0.3), z)
+        assert time.perf_counter() - start < self.BUDGET_S
+        with mp.workdps(40):
+            expected = mp.invertlaplace(lambda s: s ** (0.3 - 1) / (s**0.3 - z), 1,
+                                        method="talbot")
+        assert got == pytest.approx(float(expected), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("nu,z", [(0.3, 20.0), (0.5, 30.0)])
+    def test_residue_beyond_float_range_refused(self, nu, z):
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            ml_eval(MLParams(nu=nu), z)
+        assert time.perf_counter() - start < self.BUDGET_S
+
+    def test_zero_falls_back_to_mp_series(self, monkeypatch):
+        # E^2_{0.9,1.5}(-x) changes sign near x = 2.92 (its large-x limit is
+        # x^-2 / Gamma(-0.3) < 0); at the float nearest the zero the
+        # contour has only absolute accuracy and must refuse
+        params = MLParams(nu=0.9, mu=1.5, gamma=2.0)
+        z0 = -2.921178545505251
+        expected = _ml_series_oracle(0.9, 1.5, 2.0, z0)
+        assert abs(expected) < 1e-16
+        assert special_functions._ml_contour(params, z0) is None
+        assert ml_eval(params, z0) == pytest.approx(expected, rel=1e-11, abs=0)
+        # what the guard keeps out: the unguarded value is off by O(1)
+        monkeypatch.setattr(special_functions, "_CONTOUR_ROUNDING_MAX", math.inf)
+        unguarded = special_functions._ml_contour(params, z0)
+        assert unguarded != pytest.approx(expected, rel=1e-2, abs=0)
+
+    @pytest.mark.skipif(len(special_functions._CONTOUR_PRECISIONS) < 2,
+                        reason="numpy's long double is no wider than double here")
+    @pytest.mark.parametrize("nu,mu,gamma,z", [
+        (0.9, 1.5, 2.0, -2.93),
+        (0.5804, 1.1213, 2.0, -13.341),
+        (0.592, 0.574, 3.0, -7.042),
+    ])
+    def test_near_zero_in_extended_precision(self, monkeypatch, nu, mu, gamma, z):
+        # values 1e-4 to 1e-5 near a zero of E: the double sum fails its
+        # rounding guard, the long double sum keeps full relative accuracy
+        # and the mpmath series is not needed
+        params = MLParams(nu=nu, mu=mu, gamma=gamma)
+        expected = _ml_series_oracle(nu, mu, gamma, z)
+        double_only = special_functions._CONTOUR_PRECISIONS[:1]
+        with monkeypatch.context() as patch:
+            patch.setattr(special_functions, "_CONTOUR_PRECISIONS", double_only)
+            assert special_functions._ml_contour(params, z) is None
+
+        def no_mp_series(*args):
+            raise AssertionError("mpmath series used")
+
+        monkeypatch.setattr(special_functions, "_ml_eval_mp", no_mp_series)
+        assert special_functions._ml_contour(params, z) == pytest.approx(expected, rel=1e-14, abs=0)
+        assert ml_eval(params, z) == pytest.approx(expected, rel=1e-14, abs=0)
+
 
 class TestResponseFunctions:
     def test_r_function_frozen(self):
@@ -301,6 +468,12 @@ class TestWright:
 class TestHyp1f1:
     def test_frozen_value(self):
         assert hyp1f1(1.5, 2.5, -3.0) == pytest.approx(0.2272782459317874320295, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [-20.0, -50.0])
+    def test_strongly_negative_argument(self, x):
+        # the alternating series cancels through e^|x|; Kummer's
+        # transformation must keep full relative accuracy
+        assert hyp1f1(1.5, 2.5, x) == pytest.approx(float(mp.hyp1f1(1.5, 2.5, x)), rel=1e-12, abs=0)
 
     def test_beta_pole_rejected(self):
         with pytest.raises(DomainError):
