@@ -143,12 +143,17 @@ def _grid_of(spec: dict, override: str | None) -> list[float]:
     )
 
 
-def _series_config(tol: float | None) -> SeriesConfig:
+def _tol_or(tol: float | None, default: float) -> float:
+    """The --tol value, refused outside (0, 1), or ``default`` when not given."""
     if tol is None:
-        return DEFAULT_SERIES_CONFIG
+        return default
     if not 0.0 < tol < 1.0:
         raise _fail(f"--tol must be in (0, 1), got {tol}")
-    return SeriesConfig(rel_tol=tol)
+    return tol
+
+
+def _series_config(tol: float | None) -> SeriesConfig:
+    return SeriesConfig(rel_tol=_tol_or(tol, DEFAULT_SERIES_CONFIG.rel_tol))
 
 
 def _positive_grid(grid: Sequence[float], what: str) -> None:
@@ -253,11 +258,7 @@ def _build_invert_lt(params: dict, grid: list[float], tol: float | None):
         descriptor = cls(**kwargs)
     except TypeError as exc:
         raise _fail(f"bad descriptor parameters: {exc}") from exc
-    target = 1e-8
-    if tol is not None:
-        if not 0.0 < tol < 1.0:
-            raise _fail(f"--tol must be in (0, 1), got {tol}")
-        target = tol
+    target = _tol_or(tol, 1e-8)
     nodes = params.get("nodes", 64)
     if isinstance(nodes, bool) or not isinstance(nodes, int):
         raise _fail(f"nodes must be an integer, got {nodes!r}")
@@ -338,11 +339,7 @@ def _build_verify(params: dict, grid: list[float], tol: float | None):
     series = solve(problem)
     descriptor = transform_of(problem)
     _positive_grid(grid, "verification")
-    gate = _VERIFY_TOL
-    if tol is not None:
-        if not 0.0 < tol < 1.0:
-            raise _fail(f"--tol must be in (0, 1), got {tol}")
-        gate = tol
+    gate = _tol_or(tol, _VERIFY_TOL)
 
     def compute() -> tuple[Rows, Meta]:
         residuals = residual_check(problem, series, grid)

@@ -35,8 +35,7 @@ class FracIntConfig:
     """Quadrature controls for the fractional integral.
 
     h: mesh step; None picks t/512 so the default cell count is
-    t-independent. order marks the interpolation scheme (2 =
-    piecewise-linear product rule; the only one implemented).
+    t-independent. The rule is the piecewise-linear product rule.
     singular_power declares f(u) ~ u**singular_power near 0; the factor
     is integrated exactly instead of being interpolated. grading > 1
     clusters nodes at 0 as u_j = t (j/n)**grading, restoring second
@@ -45,15 +44,12 @@ class FracIntConfig:
     """
 
     h: float | None = None
-    order: int = 2
     singular_power: float = 0.0
     grading: float = 1.0
 
     def __post_init__(self) -> None:
         if self.h is not None and self.h <= 0.0:
             raise DomainError(f"step h must be positive, got {self.h}")
-        if self.order != 2:
-            raise DomainError(f"only the order-2 product rule exists, got {self.order}")
         if self.singular_power <= -1.0:
             raise DomainError(
                 f"singular power must be integrable, got {self.singular_power}"

@@ -133,15 +133,10 @@ class SeriesTerm:
 
 @dataclass(frozen=True)
 class SolutionSeries:
-    """Finite Mittag-Leffler combination solving a kinetic equation.
-
-    truncation, when present, records (outer terms used, tail estimate)
-    for values obtained by truncating an infinite outer series.
-    """
+    """Finite Mittag-Leffler combination solving a kinetic equation."""
 
     terms: tuple[SeriesTerm, ...]
     notes: tuple[str, ...] = ()
-    truncation: tuple[int, float] | None = None
 
     def evaluate(self, t: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> float:
         if t < 0.0:

@@ -452,11 +452,10 @@ def lt_forward_numeric(
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Contour inversion settings: node count, optional shared time grid,
-    and the accuracy target used by the node-doubling self-check."""
+    """Contour inversion settings: node count and the accuracy target used
+    by the node-doubling self-check."""
 
     M: int = 64
-    grid: tuple[float, ...] | None = None
     precision_target: float = 1e-8
 
     def __post_init__(self):
@@ -464,11 +463,6 @@ class InversionConfig:
             raise DomainError(f"M must be at least 16, got {self.M}")
         if not self.precision_target > 0:
             raise DomainError(f"precision_target must be positive, got {self.precision_target}")
-        if self.grid is not None:
-            g = tuple(float(t) for t in self.grid)
-            object.__setattr__(self, "grid", g)
-            if any(t <= 0 for t in g) or any(b <= a for a, b in zip(g, g[1:])):
-                raise DomainError("grid must be strictly increasing and positive")
 
 
 DEFAULT_INVERSION_CONFIG = InversionConfig()

@@ -118,18 +118,17 @@ class RDSolution:
             raise DomainError("solution field contains non-finite values")
 
 
-def _mode_kernels(a: float, b: float, t: float, outer_terms: int,
-                  cfg: SeriesConfig) -> tuple[float, float]:
+def _mode_kernels(a: float, b: float, t: float, cfg: SeriesConfig) -> tuple[float, float]:
     # inverse transforms of p/(p^2+ap+b) and 1/(p^2+ap+b)
     tt3 = ThreeTermTransform(alpha=2.0, beta=1.0, a=a, b=b)
     tt4 = ThreeTermTransform(alpha=2.0, beta=1.0, a=a, b=b,
                              numerator_kind=NumeratorKind.BETA_MINUS_ONE)
-    l3 = invert_three_term(tt3, t, outer_terms=outer_terms, cfg=cfg)
-    l4 = invert_three_term(tt4, t, outer_terms=outer_terms, cfg=cfg)
+    l3 = invert_three_term(tt3, t, cfg=cfg)
+    l4 = invert_three_term(tt4, t, cfg=cfg)
     return l3, l4
 
 
-def rd_solve_spectral(problem: RDProblem, outer_terms: int = 64) -> RDSolution:
+def rd_solve_spectral(problem: RDProblem) -> RDSolution:
     """Solve by per-mode Laplace inversion of the Fourier transform."""
     m_grid = problem.modes
     c0 = np.fft.rfft(problem.n0)
@@ -162,7 +161,7 @@ def rd_solve_spectral(problem: RDProblem, outer_terms: int = 64) -> RDSolution:
             continue
         spectrum[:] = 0.0
         for info in keep:
-            l3, l4 = _mode_kernels(problem.a, info.b, t, outer_terms, cfg)
+            l3, l4 = _mode_kernels(problem.a, info.b, t, cfg)
             spectrum[info.index] = c0[info.index] * (l3 + problem.a * l4) + c1[info.index] * l4
         field[row] = np.fft.irfft(spectrum, n=m_grid)
     return RDSolution(x=problem.x, times=problem.times, field=field,

@@ -13,13 +13,18 @@ family), a generalized Wright series, the confluent hypergeometric 1F1
 series, and the gamma-product integrand of the Mellin-Barnes (Fox H)
 representation.
 
-All series share one truncation contract (``SeriesConfig``): terms are
-accumulated with compensated summation, built in log space so large
-Gamma denominators never overflow, and the sum is accepted once the term
-magnitude stays below ``rel_tol`` times the partial sum for three
-consecutive terms (alternating series can produce a single deceptively
-small term).  Arguments beyond ``max_abs_z`` are refused with
-``DomainError``.
+All series share one truncation contract (``SeriesConfig``), applied by
+one float64 driver, ``_sum_series``, to the terms each series generates:
+terms are accumulated with Kahan's compensated summation, built in log
+space so large Gamma denominators never overflow, and the sum is accepted
+once the term magnitude stays below ``rel_tol`` times the partial sum for
+three consecutive terms (alternating series can produce a single
+deceptively small term).  Arguments beyond ``max_abs_z`` are refused with
+``DomainError``.  When a term would overflow and no contour value is
+taken, one log-space scan of the same terms (``_log10_peak``) finds the
+largest, which sets the mpmath working precision; if every term has one
+sign and that term alone is beyond float range, the value is refused with
+``DomainError`` at once, without the mpmath rerun.
 
 Alternating arguments are the numerically hostile direction: the terms
 of E[1/2](-6) peak fourteen orders of magnitude above the final sum, so
@@ -55,10 +60,11 @@ is refused with ``DomainError`` rather than returned as ``inf``.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import mpmath as mp
 import numpy as np
@@ -222,9 +228,93 @@ def pochhammer(gamma: float, k: int) -> float:
     return out
 
 
-def _near_nonpositive_int(x: float, tol: float = _POLE_TOL) -> bool:
+def _near_nonpositive_int(x: float) -> bool:
     r = round(x)
-    return r <= 0 and abs(x - r) < tol
+    return r <= 0 and abs(x - r) < _POLE_TOL
+
+
+def _sum_series(
+    terms: Iterator[tuple[float, float]], cfg: SeriesConfig, what: str
+) -> tuple[float | None, float, int]:
+    """Sum a series in float64 under the ``SeriesConfig`` contract.
+
+    ``terms`` yields (log|t_k|, s_k) for the term t_k = s_k e^(log|t_k|):
+    s_k is the sign of a term built in log space, or, for a term built by
+    a float recurrence, the term itself with 0 in place of its log.  A log
+    of -inf marks a term that vanishes exactly: it counts toward
+    ``cfg.max_terms`` and leaves the stop state alone.  The iterator ending
+    means the series terminated exactly.  Terms are summed with Kahan
+    compensation until three in a row fall below ``rel_tol`` times the
+    sum, or one falls below ``abs_floor`` on the decaying tail.
+
+    Returns (total, largest term magnitude, terms read), or (None, inf,
+    terms read) as soon as a term's log passes ``_LOG_OVERFLOW``.  Raises
+    ``NonConvergence`` when the budget runs out first.
+    """
+    total = comp = peak = 0.0
+    small_run = 0
+    prev_mag = math.inf
+    rel_tol, abs_floor, exp, vanished = cfg.rel_tol, cfg.abs_floor, math.exp, -math.inf
+    k = -1
+    for k, (log_mag, sign) in zip(range(cfg.max_terms), terms):
+        if log_mag > _LOG_OVERFLOW:
+            return None, math.inf, k + 1
+        if log_mag == vanished:
+            continue
+        term = sign * exp(log_mag)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+
+        mag = abs(term)
+        if mag > peak:
+            peak = mag
+        # the floor cutoff only applies on the decaying tail, never while
+        # terms are still growing toward the series peak
+        if mag < abs_floor and k > 0 and mag <= prev_mag:
+            break
+        prev_mag = mag
+        if mag < rel_tol * abs(total):
+            small_run += 1
+            if small_run >= 3:
+                break
+        else:
+            small_run = 0
+    else:  # the budget ran out, or the terms did: an exact end
+        if k + 1 == cfg.max_terms:
+            raise NonConvergence(f"{what} did not converge in {cfg.max_terms} terms")
+    return total, peak, k + 1
+
+
+def _log10_peak(terms: Iterator[tuple[float, float]], cfg: SeriesConfig, what: str) -> float:
+    """log10 of the largest term magnitude of a series whose float sum
+    overflowed, by a scan of ``terms`` (as for ``_sum_series``) in log space
+    alone, over at most ``cfg.max_terms`` terms and until they fall 2000
+    (natural log units) below the largest.
+
+    Raises ``DomainError`` when every term read has one sign and the
+    largest alone is beyond float range: the sum is then beyond it too.
+    """
+    best = -math.inf
+    negative = positive = False
+    for log_mag, sign in itertools.islice(terms, cfg.max_terms):
+        if log_mag == -math.inf:
+            continue
+        if sign < 0.0:
+            negative = True
+        else:
+            positive = True
+        if log_mag > best:
+            best = log_mag
+        elif log_mag < best - 2000.0:
+            break
+    if best > _LOG_FLOAT_MAX and not (negative and positive):
+        raise DomainError(
+            f"{what}: its largest term, 10^{best / math.log(10.0):.1f}, is beyond float "
+            "range and no term has the other sign"
+        )
+    return best / math.log(10.0)
 
 
 def ml_eval(params: MLParams, z: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> float:
@@ -232,7 +322,7 @@ def ml_eval(params: MLParams, z: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFI
 
     Terms are built in log space (log-Pochhammer, log-factorial and
     log-Gamma accumulate incrementally) with explicit sign tracking, then
-    summed with Kahan compensation.  If the peak term magnitude dwarfs
+    summed by ``_sum_series``.  If the peak term magnitude dwarfs
     the final sum -- the cancellation regime of strongly negative z --
     or a term would overflow, the value comes from Garrappa's parabolic
     contour in double precision (z < 0 with 0 < nu < 1 and gamma > 0, or
@@ -253,100 +343,41 @@ def ml_eval(params: MLParams, z: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFI
     if z == 0.0:
         return 1.0 / math.gamma(params.mu) if params.mu < 170 else math.exp(-math.lgamma(params.mu))
 
-    nu, mu, gam = params.nu, params.mu, params.gamma
-    lgamma = math.lgamma
-    log_abs_z = math.log(abs(z))
-    sign_z = 1.0 if z > 0 else -1.0
+    what = "Mittag-Leffler series"
+    total, peak, _ = _sum_series(_ml_terms(params, z), cfg, what)
+    if total is not None and peak <= _MP_FALLBACK_RATIO * max(abs(total), cfg.abs_floor):
+        return total
+    value = _ml_contour(params, z)
+    if value is not None:
+        return value
+    if total is None:
+        log10_peak = _log10_peak(_ml_terms(params, z), cfg, what)
+    else:
+        log10_peak = math.log10(peak)
+    return _ml_eval_mp(params, z, cfg, log10_peak)
 
+
+def _ml_terms(params: MLParams, z: float) -> Iterator[tuple[float, float]]:
+    """(log|term_k|, sign_k) of the Mittag-Leffler series at z != 0."""
+    nu, mu, gam = params.nu, params.mu, params.gamma
+    lgamma, log = math.lgamma, math.log
+    log_abs_z = log(abs(z))
+    sign_z = 1.0 if z > 0 else -1.0
     # Only the slowly-growing log |(gamma)_k / k!| piece is accumulated;
     # the dominant k*log|z| piece is rebuilt fresh each term, otherwise
     # rounding in the running log compounds as O(k^2 eps) over long series.
     log_poch = 0.0
     sign_front = 1.0
-    total = 0.0
-    comp = 0.0  # Kahan compensation
-    small_run = 0
-    prev_mag = math.inf
-    peak = 0.0
-
-    for k in range(cfg.max_terms):
-        if sign_front == 0.0:
-            break  # Pochhammer hit zero: the series terminated exactly
-        log_term = log_poch + k * log_abs_z - lgamma(mu + k * nu)
-        if log_term > _LOG_OVERFLOW:
-            return _ml_eval_cancelling(params, z, cfg, None)
-        term = sign_front * math.exp(log_term)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-
-        mag = abs(term)
-        if mag > peak:
-            peak = mag
-        # the floor cutoff only applies on the decaying tail, never while
-        # terms are still growing toward the series peak
-        if mag < cfg.abs_floor and k > 0 and mag <= prev_mag:
-            break
-        prev_mag = mag
-        if mag < cfg.rel_tol * abs(total):
-            small_run += 1
-            if small_run >= 3:
-                break
-        else:
-            small_run = 0
-
+    for k in itertools.count():
+        yield log_poch + k * log_abs_z - lgamma(mu + k * nu), sign_front
         g = gam + k
         if g == 0.0:
-            sign_front = 0.0
-        else:
-            if gam != 1.0:
-                log_poch += math.log(abs(g)) - math.log(k + 1.0)
-            if g < 0:
-                sign_front = -sign_front
-            sign_front *= sign_z
-    else:
-        raise NonConvergence(
-            f"Mittag-Leffler series did not converge in {cfg.max_terms} terms "
-            f"(nu={nu}, mu={mu}, gamma={gam}, z={z})"
-        )
-
-    if peak > _MP_FALLBACK_RATIO * max(abs(total), cfg.abs_floor):
-        return _ml_eval_cancelling(params, z, cfg, math.log10(peak))
-    return total
-
-
-def _ml_eval_cancelling(
-    params: MLParams, z: float, cfg: SeriesConfig, log10_peak: float | None
-) -> float:
-    """The contour value where it is routed and passes its guard, else the
-    mpmath series (``log10_peak`` None: scan for the peak first)."""
-    value = _ml_contour(params, z)
-    if value is not None:
-        return value
-    if log10_peak is None:
-        log10_peak = _ml_log10_peak(params, z, cfg)
-    return _ml_eval_mp(params, z, cfg, log10_peak)
-
-
-def _ml_log10_peak(params: MLParams, z: float, cfg: SeriesConfig) -> float:
-    """Scan the series in pure log space for its largest term magnitude."""
-    lgamma = math.lgamma
-    log_abs_z = math.log(abs(z))
-    log_poch = 0.0
-    best = -math.inf
-    for k in range(cfg.max_terms):
-        cur = log_poch + k * log_abs_z - lgamma(params.mu + k * params.nu)
-        if cur > best:
-            best = cur
-        elif cur < best - 2000.0:
-            break
-        g = params.gamma + k
-        if g == 0.0:
-            break
-        if params.gamma != 1.0:
-            log_poch += math.log(abs(g)) - math.log(k + 1.0)
-    return best / math.log(10.0)
+            return  # Pochhammer hit zero: the series terminated exactly
+        if gam != 1.0:
+            log_poch += log(abs(g)) - log(k + 1.0)
+        if g < 0:
+            sign_front = -sign_front
+        sign_front *= sign_z
 
 
 def _mp_sum(make_term: Callable[[], Callable[[int], object]], cfg: SeriesConfig, log10_peak: float, what: str) -> float:
@@ -645,8 +676,10 @@ def r_function(
     return x ** (nu - mu - 1.0) * ml_eval(MLParams(nu=nu, mu=nu - mu), a * x**nu, cfg)
 
 
-def _wright_log_term(params: WrightParams, k: int, log_pow: float, sign_pow: float):
-    """(log magnitude, sign) of Wright term k, or None when a lower-list
+def _wright_log_term(
+    params: WrightParams, k: int, log_pow: float, sign_pow: float
+) -> tuple[float, float]:
+    """(log magnitude, sign) of Wright term k, (-inf, 0) when a lower-list
     Gamma pole makes the term vanish.  Raises on upper-list poles."""
     log_mag = log_pow
     sign = sign_pow
@@ -659,7 +692,7 @@ def _wright_log_term(params: WrightParams, k: int, log_pow: float, sign_pow: flo
     for b, bb in params.lower:
         arg = b + bb * k
         if _near_nonpositive_int(arg):
-            return None
+            return -math.inf, 0.0
         log_mag -= gammaln(arg)
         sign *= gammasgn(arg)
     return log_mag, sign
@@ -681,74 +714,30 @@ def wright_eval(
         raise DomainError(
             f"|z| = {abs(z)} exceeds the configured series domain bound {cfg.max_abs_z}"
         )
+    what = "Wright series"
+    total, peak, n_used = _sum_series(_wright_terms(params, z), cfg, what)
+    if total is None:
+        log10_peak = _log10_peak(_wright_terms(params, z), cfg, what)
+    # long series hit the accuracy floor of float gammaln(k+1) against the
+    # list Gammas; redo those in mpmath as well
+    elif n_used > 220 or peak > _MP_FALLBACK_RATIO * max(abs(total), cfg.abs_floor):
+        log10_peak = math.log10(max(peak, cfg.abs_floor))
+    else:
+        return total
+    return _wright_eval_mp(params, z, cfg, log10_peak)
 
-    total = 0.0
-    comp = 0.0
-    small_run = 0
-    prev_mag = math.inf
-    peak = 0.0
+
+def _wright_terms(params: WrightParams, z: float) -> Iterator[tuple[float, float]]:
+    """(log|term_k|, sign_k) of the Wright series at z."""
     log_abs_z = math.log(abs(z)) if z != 0.0 else 0.0
     sign_z = 1.0 if z >= 0 else -1.0
     sign_pow = 1.0
-    converged = False
-    n_used = 0
-
-    for k in range(cfg.max_terms):
-        n_used = k + 1
-        # fresh log |z^k / k!| each term; see ml_eval on O(k^2 eps) drift
-        lt = _wright_log_term(params, k, k * log_abs_z - math.lgamma(k + 1.0), sign_pow)
-        if lt is not None:
-            log_mag, sign = lt
-            if log_mag > _LOG_OVERFLOW:
-                return _wright_eval_mp(params, z, cfg, _wright_log10_peak(params, z, cfg))
-            term = sign * math.exp(log_mag)
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-
-            mag = abs(term)
-            if mag > peak:
-                peak = mag
-            if mag < cfg.abs_floor and k > 0 and mag <= prev_mag:
-                converged = True
-                break
-            prev_mag = mag
-            if mag < cfg.rel_tol * abs(total):
-                small_run += 1
-                if small_run >= 3:
-                    converged = True
-                    break
-            else:
-                small_run = 0
-
+    for k in itertools.count():
+        # fresh log |z^k / k!| each term; see _ml_terms on O(k^2 eps) drift
+        yield _wright_log_term(params, k, k * log_abs_z - math.lgamma(k + 1.0), sign_pow)
         if z == 0.0:
-            converged = True
-            break
+            return
         sign_pow *= sign_z
-
-    if not converged:
-        raise NonConvergence(f"Wright series did not converge in {cfg.max_terms} terms (z={z})")
-    # long series hit the accuracy floor of float gammaln(k+1) against the
-    # list Gammas; redo those in mpmath as well
-    if n_used > 220 or peak > _MP_FALLBACK_RATIO * max(abs(total), cfg.abs_floor):
-        return _wright_eval_mp(params, z, cfg, math.log10(max(peak, cfg.abs_floor)))
-    return total
-
-
-def _wright_log10_peak(params: WrightParams, z: float, cfg: SeriesConfig) -> float:
-    log_abs_z = math.log(abs(z)) if z != 0.0 else 0.0
-    best = -math.inf
-    for k in range(cfg.max_terms):
-        lt = _wright_log_term(params, k, k * log_abs_z - math.lgamma(k + 1.0), 1.0)
-        if lt is not None:
-            if lt[0] > best:
-                best = lt[0]
-            elif lt[0] < best - 2000.0:
-                break
-        if z == 0.0:
-            break
-    return best / math.log(10.0)
 
 
 def _wright_eval_mp(params: WrightParams, z: float, cfg: SeriesConfig, log10_peak: float) -> float:
@@ -790,33 +779,18 @@ def hyp1f1(
     x = float(x)
     if x < 0:
         return math.exp(x) * hyp1f1(beta1 - gamma1, beta1, -x, cfg)
+    total, _, _ = _sum_series(_hyp1f1_terms(gamma1, beta1, x), cfg, "1F1 series")
+    return total
+
+
+def _hyp1f1_terms(gamma1: float, beta1: float, x: float) -> Iterator[tuple[float, float]]:
+    """The 1F1 terms by their float recurrence, each as (0, term)."""
     term = 1.0
-    total = 0.0
-    comp = 0.0
-    small_run = 0
-    prev_mag = math.inf
-    for k in range(cfg.max_terms):
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-
-        mag = abs(term)
-        if mag < cfg.abs_floor and k > 0 and mag <= prev_mag:
-            return total
-        prev_mag = mag
-        if mag < cfg.rel_tol * abs(total):
-            small_run += 1
-            if small_run >= 3:
-                return total
-        else:
-            small_run = 0
-
+    for k in itertools.count():
+        yield 0.0, term
         term *= (gamma1 + k) / ((beta1 + k) * (k + 1.0)) * x
         if not math.isfinite(term):
             raise NonConvergence(f"1F1 term overflowed at k={k} (x={x})")
-
-    raise NonConvergence(f"1F1 series did not converge in {cfg.max_terms} terms (x={x})")
 
 
 def h_integrand(params: HFunctionParams, s: complex) -> complex:

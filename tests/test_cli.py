@@ -205,6 +205,9 @@ class TestRdSolve:
     def test_fd_requires_dt(self, tmp_path):
         assert main(["rd-solve", "--spec", write_spec(tmp_path, self.spec(solver="fd"))]) == 2
 
+    def test_tol_is_ignored(self, tmp_path):
+        assert main(["rd-solve", "--spec", write_spec(tmp_path, self.spec()), "--tol", "0"]) == 0
+
 
 class TestVerify:
     spec = {
@@ -285,6 +288,28 @@ class TestSpecValidation:
         spec = basic_spec()
         spec["parameters"]["c"] = -1.0
         assert main(["solve-kinetic", "--spec", write_spec(tmp_path, spec)]) == 2
+
+    # every task that reads --tol, with parameters it accepts
+    TOL_TASKS = {
+        "eval-ml": {"nu": 1.0},
+        "eval-wright": {"upper": [], "lower": []},
+        "solve-kinetic": basic_spec()["parameters"],
+        "invert-lt": {"descriptor": {"kind": "GammaPower", "alpha": 1.0, "beta": 1.0}},
+        "invert-three-term": {"alpha": 2.0, "beta": 1.0, "a": 0.6, "b": 4.0},
+        "verify": TestVerify.spec["parameters"],
+    }
+
+    @pytest.mark.parametrize("task", sorted(TOL_TASKS))
+    @pytest.mark.parametrize("tol", ["0", "1.5"])
+    def test_tol_out_of_range(self, tmp_path, capsys, task, tol):
+        spec = {"version": "1", "parameters": self.TOL_TASKS[task],
+                "grid": {"start": 1.0, "stop": 1.0, "n": 1}}
+        assert main([task, "--spec", write_spec(tmp_path, spec), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "spec"
+        assert err["message"] == f"--tol must be in (0, 1), got {float(tol)}"
 
 
 def test_console_entry_point(tmp_path):

@@ -21,8 +21,6 @@ class TestConfig:
         with pytest.raises(DomainError):
             FracIntConfig(h=0.0)
         with pytest.raises(DomainError):
-            FracIntConfig(order=4)
-        with pytest.raises(DomainError):
             FracIntConfig(singular_power=-1.0)
         with pytest.raises(DomainError):
             FracIntConfig(grading=0.5)

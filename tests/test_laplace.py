@@ -262,7 +262,3 @@ class TestInvertNumeric:
     def test_inversion_config_validation(self):
         with pytest.raises(DomainError):
             InversionConfig(M=8)
-        with pytest.raises(DomainError):
-            InversionConfig(grid=(1.0, 0.5))
-        with pytest.raises(DomainError):
-            InversionConfig(grid=(-1.0, 2.0))

@@ -94,8 +94,14 @@ class TestMLEval:
         assert ml_eval(MLParams(nu=1.0), 60.0, cfg) == pytest.approx(math.exp(60.0), rel=1e-11)
 
     def test_nonconvergence_on_tiny_budget(self):
+        # the three float series share one driver and its term budget
+        cfg = SeriesConfig(max_terms=20)
         with pytest.raises(NonConvergence):
-            ml_eval(MLParams(nu=0.3), 40.0, SeriesConfig(max_terms=20))
+            ml_eval(MLParams(nu=0.3), 40.0, cfg)
+        with pytest.raises(NonConvergence):
+            wright_eval(WrightParams(upper=((1.0, 1.0),), lower=((1.0, 0.5),)), 20.0, cfg)
+        with pytest.raises(NonConvergence):
+            hyp1f1(1.5, 2.5, 40.0, cfg)
 
     def test_negative_integer_gamma_truncates(self):
         # (gamma)_k vanishes for k > 2 when gamma = -2: a 3-term polynomial
@@ -207,6 +213,22 @@ class TestMLEval:
         with pytest.raises(DomainError):
             ml_eval(MLParams(nu=0.5), 30.0)
         assert time.perf_counter() - start < 0.25
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda: ml_eval(MLParams(nu=0.5, gamma=2.0), 27.0),
+        lambda: ml_eval(MLParams(nu=0.5, gamma=2.0), 30.0),
+        lambda: wright_eval(WrightParams(upper=((1.0, 1.0),), lower=((1.0, 0.5),)), 50.0),
+    ], ids=["ml-27", "ml-30", "wright-50"])
+    def test_provable_overflow_refused_without_mp_rerun(self, monkeypatch, evaluate):
+        # every term is positive and the largest (10^318, 10^392, 10^1084)
+        # alone is beyond float range: no mpmath rerun is needed to say so
+        def no_mp_series(*args):
+            raise AssertionError("mpmath series used")
+
+        monkeypatch.setattr(special_functions, "_ml_eval_mp", no_mp_series)
+        monkeypatch.setattr(special_functions, "_wright_eval_mp", no_mp_series)
+        with pytest.raises(DomainError):
+            evaluate()
 
     def test_mp_rerun_refuses_values_beyond_float_range(self):
         def make_term():
@@ -449,6 +471,16 @@ class TestWright:
         p = WrightParams(upper=((1.0, 1.0),), lower=((0.0, 1.0),))
         z = 0.7
         assert wright_eval(p, z) == pytest.approx(z * math.exp(z), rel=1e-12)
+
+    def test_lower_pole_zeroes_terms_mid_series(self):
+        # 1/Gamma(2 - k/2) vanishes at k = 4, 6, 8, ...: those terms are
+        # skipped without ending the series
+        p = WrightParams(upper=(), lower=((2.0, -0.5),))
+        z = 2.5
+        with mp.workdps(30):
+            expected = mp.fsum(mp.mpf(z) ** k / mp.factorial(k) * mp.rgamma(2 - mp.mpf(k) / 2)
+                               for k in range(120))
+        assert wright_eval(p, z) == pytest.approx(float(expected), rel=1e-13)
 
     def test_upper_pole_raises(self):
         p = WrightParams(upper=((-0.5, 0.25),), lower=((1.0, 1.0),))
