@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence, Union, get_args
 
 import mpmath as mp
 from scipy.integrate import quad
@@ -66,8 +66,6 @@ def _is_real(p) -> bool:
 class _Descriptor:
     """Shared behavior: closed-form evaluation plus contour metadata."""
 
-    kind: str = ""
-
     def value(self, p):
         raise NotImplementedError
 
@@ -97,7 +95,6 @@ class GammaPower(_Descriptor):
 
     alpha: float
     beta: float
-    kind = "GammaPower"
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
@@ -120,7 +117,6 @@ class LaplaceDensity(_Descriptor):
     density exp(-|t|/beta)/(2 beta), valid on |Re p| < 1/beta."""
 
     beta: float
-    kind = "LaplaceDensity"
 
     def __post_init__(self):
         if not self.beta > 0:
@@ -150,7 +146,6 @@ class ResidualProduct(_Descriptor):
 
     plus: tuple[tuple[float, float], ...] = ()
     minus: tuple[tuple[float, float], ...] = ()
-    kind = "ResidualProduct"
 
     def __post_init__(self):
         object.__setattr__(self, "plus", tuple((float(a), float(b)) for a, b in self.plus))
@@ -192,14 +187,25 @@ def _pole_guard(den, scale) -> None:
         raise PoleError("denominator vanishes at this p")
 
 
+class _PowerOfP(_Descriptor):
+    """Kinds built from powers p^nu: real p must be positive, and nu is the
+    largest power of p in the denominator."""
+
+    def check_real_validity(self, p: float) -> None:
+        if p <= 0:
+            raise DomainError(f"p^nu kinds need real p > 0, got p={p}")
+
+    def inversion_exponent(self) -> float:
+        return self.nu
+
+
 @dataclass(frozen=True)
-class MLBasic(_Descriptor):
+class MLBasic(_PowerOfP):
     """n0 p^(nu-1) / (p^nu + c^nu): transform of n0 E_nu(-(c t)^nu)."""
 
     c: float
     nu: float
     n0: float = 1.0
-    kind = "MLBasic"
 
     def __post_init__(self):
         if not (self.c > 0 and self.nu > 0):
@@ -211,16 +217,9 @@ class MLBasic(_Descriptor):
         _pole_guard(pn + cn, abs(pn) + cn)
         return self.n0 * p ** (self.nu - 1) / (pn + cn)
 
-    def check_real_validity(self, p: float) -> None:
-        if p <= 0:
-            raise DomainError(f"p^nu kinds need real p > 0, got p={p}")
-
-    def inversion_exponent(self) -> float:
-        return self.nu
-
 
 @dataclass(frozen=True)
-class MLGeneral(_Descriptor):
+class MLGeneral(_PowerOfP):
     """n0 p^(nu(gamma+1)-mu) / (c^nu + p^nu)^(gamma+1): transform of
     n0 t^(mu-1) E^(gamma+1)_[nu,mu](-c^nu t^nu)."""
 
@@ -229,7 +228,6 @@ class MLGeneral(_Descriptor):
     mu: float
     gamma: float = 0.0
     n0: float = 1.0
-    kind = "MLGeneral"
 
     def __post_init__(self):
         if not (self.c > 0 and self.nu > 0 and self.mu > 0):
@@ -243,16 +241,9 @@ class MLGeneral(_Descriptor):
         _pole_guard(pn + cn, abs(pn) + cn)
         return self.n0 * p ** (self.nu * (self.gamma + 1) - self.mu) / (cn + pn) ** (self.gamma + 1)
 
-    def check_real_validity(self, p: float) -> None:
-        if p <= 0:
-            raise DomainError(f"p^nu kinds need real p > 0, got p={p}")
-
-    def inversion_exponent(self) -> float:
-        return self.nu
-
 
 @dataclass(frozen=True)
-class TwoRateProduct(_Descriptor):
+class TwoRateProduct(_PowerOfP):
     """n0 p^(2nu-mu) / ((p^nu + c^nu)(p^nu + d^nu)): transform of the
     production-destruction solution with distinct rates c and d."""
 
@@ -261,7 +252,6 @@ class TwoRateProduct(_Descriptor):
     nu: float
     mu: float
     n0: float = 1.0
-    kind = "TwoRateProduct"
 
     def __post_init__(self):
         if not (self.c > 0 and self.d > 0 and self.nu > 0 and self.mu > 0):
@@ -274,27 +264,14 @@ class TwoRateProduct(_Descriptor):
         _pole_guard(pn + dn, abs(pn) + dn)
         return self.n0 * p ** (2 * self.nu - self.mu) / ((pn + cn) * (pn + dn))
 
-    def check_real_validity(self, p: float) -> None:
-        if p <= 0:
-            raise DomainError(f"p^nu kinds need real p > 0, got p={p}")
 
-    def inversion_exponent(self) -> float:
-        return self.nu
-
-
-class _ThreeTermBase(_Descriptor):
+class _ThreeTermBase(_PowerOfP):
     def _den(self, p):
         return p**self.alpha + self.a * p**self.beta + self.b
 
     def _validate(self):
-        if not self.alpha > 0:
-            raise DomainError(f"three-term transform requires alpha > 0, got {self}")
         if not (self.alpha > self.beta >= 0):
             raise DomainError(f"three-term transform requires alpha > beta >= 0, got {self}")
-
-    def check_real_validity(self, p: float) -> None:
-        if p <= 0:
-            raise DomainError(f"p^nu kinds need real p > 0, got p={p}")
 
     def inversion_exponent(self) -> float:
         return self.alpha
@@ -324,7 +301,6 @@ class ThreeTermAlpha(_ThreeTermBase):
     b: float
     alpha: float
     beta: float
-    kind = "ThreeTermAlpha"
 
     def __post_init__(self):
         self._validate()
@@ -343,7 +319,6 @@ class ThreeTermBeta(_ThreeTermBase):
     b: float
     alpha: float
     beta: float
-    kind = "ThreeTermBeta"
 
     def __post_init__(self):
         self._validate()
@@ -365,19 +340,7 @@ TransformDescriptor = Union[
     ThreeTermBeta,
 ]
 
-DESCRIPTOR_KINDS: dict[str, type] = {
-    cls.kind: cls
-    for cls in (
-        GammaPower,
-        LaplaceDensity,
-        ResidualProduct,
-        MLBasic,
-        MLGeneral,
-        TwoRateProduct,
-        ThreeTermAlpha,
-        ThreeTermBeta,
-    )
-}
+DESCRIPTOR_KINDS: dict[str, type] = {cls.__name__: cls for cls in get_args(TransformDescriptor)}
 
 
 def lt_eval(d: TransformDescriptor, p) -> complex:

@@ -22,9 +22,10 @@ three consecutive terms (alternating series can produce a single
 deceptively small term).  Arguments beyond ``max_abs_z`` are refused with
 ``DomainError``.  When a term would overflow and no contour value is
 taken, one log-space scan of the same terms (``_log10_peak``) finds the
-largest, which sets the mpmath working precision; if every term has one
-sign and that term alone is beyond float range, the value is refused with
-``DomainError`` at once, without the mpmath rerun.
+largest, which sets the mpmath working precision.  The scan refuses at
+once, without the rerun, a value whose terms have one sign and sum beyond
+float range (``DomainError``) and one whose terms cannot fall low enough
+within ``max_terms`` for the rerun to stop (``NonConvergence``).
 
 Alternating arguments are the numerically hostile direction: the terms
 of E[1/2](-6) peak fourteen orders of magnitude above the final sum, so
@@ -51,7 +52,8 @@ would overflow), evaluates in three stages:
    64-bit mantissa, target 1e-18, the same guard with its epsilon);
 3. otherwise, and for every other input, the series rerun in mpmath
    arbitrary precision, widened until at least fifteen significant
-   digits survive the cancellation.
+   digits survive the cancellation.  It reads its terms from a generator
+   as the float driver does (``_ml_terms_mp`` next to ``_ml_terms``).
 
 ``wright_eval`` uses the same mpmath rerun.  A value beyond float range
 is refused with ``DomainError`` rather than returned as ``inf``.
@@ -60,6 +62,7 @@ is refused with ``DomainError`` rather than returned as ``inf``.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import sys
@@ -98,6 +101,18 @@ _MP_FALLBACK_RATIO = 300.0
 
 #: Log of the largest term magnitude the float path will exponentiate.
 _LOG_OVERFLOW = 690.0
+
+#: Term magnitude below which a decaying tail is cut off, and the least
+#: |sum| the cancellation ratio is taken against.
+_ABS_FLOOR = 1e-300
+
+#: The mpmath rerun at dps digits stops after three terms in a row below
+#: 10^-(dps + _MP_CUT_GUARD) times the largest term before them.
+_MP_CUT_GUARD = 5
+
+#: Slack, in natural-log units, for rounding in a float log-space scan of
+#: the terms before it proves a claim about their exact values.
+_LOG_SCAN_SLACK = 1e-6
 
 #: Garrappa's contour: the precisions its sum is tried in, each with its
 #: target accuracy and the relaxed ones the parameter search may fall
@@ -147,7 +162,6 @@ class SeriesConfig:
 
     rel_tol: float = 1e-14
     max_terms: int = 10_000
-    abs_floor: float = 1e-300
     max_abs_z: float = 50.0
 
     def __post_init__(self) -> None:
@@ -155,8 +169,6 @@ class SeriesConfig:
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if self.max_terms < 1:
             raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-        if not (self.abs_floor > 0):
-            raise DomainError(f"abs_floor must be positive, got {self.abs_floor}")
 
 
 DEFAULT_SERIES_CONFIG = SeriesConfig()
@@ -245,7 +257,7 @@ def _sum_series(
     ``cfg.max_terms`` and leaves the stop state alone.  The iterator ending
     means the series terminated exactly.  Terms are summed with Kahan
     compensation until three in a row fall below ``rel_tol`` times the
-    sum, or one falls below ``abs_floor`` on the decaying tail.
+    sum, or one falls below ``_ABS_FLOOR`` on the decaying tail.
 
     Returns (total, largest term magnitude, terms read), or (None, inf,
     terms read) as soon as a term's log passes ``_LOG_OVERFLOW``.  Raises
@@ -254,7 +266,7 @@ def _sum_series(
     total = comp = peak = 0.0
     small_run = 0
     prev_mag = math.inf
-    rel_tol, abs_floor, exp, vanished = cfg.rel_tol, cfg.abs_floor, math.exp, -math.inf
+    rel_tol, abs_floor, exp, vanished = cfg.rel_tol, _ABS_FLOOR, math.exp, -math.inf
     k = -1
     for k, (log_mag, sign) in zip(range(cfg.max_terms), terms):
         if log_mag > _LOG_OVERFLOW:
@@ -293,28 +305,38 @@ def _log10_peak(terms: Iterator[tuple[float, float]], cfg: SeriesConfig, what: s
     alone, over at most ``cfg.max_terms`` terms and until they fall 2000
     (natural log units) below the largest.
 
-    Raises ``DomainError`` when every term read has one sign and the
-    largest alone is beyond float range: the sum is then beyond it too.
+    Raises ``DomainError`` when the terms read have one sign and sum beyond
+    float range, and ``NonConvergence`` when none of ``cfg.max_terms`` terms
+    falls below the cut that stops ``_mp_sum`` at its first precision.
     """
     best = -math.inf
-    negative = positive = False
-    for log_mag, sign in itertools.islice(terms, cfg.max_terms):
+    scaled = 0.0  # the sum of the magnitudes read, over e^best
+    dip = 0.0  # the least log|t_k| less the log of the largest term before it
+    signs = set()  # sign < 0 of each term read
+    k = -1
+    for k, (log_mag, sign) in zip(range(cfg.max_terms), terms):
         if log_mag == -math.inf:
             continue
-        if sign < 0.0:
-            negative = True
-        else:
-            positive = True
+        signs.add(sign < 0.0)
         if log_mag > best:
+            scaled = scaled * math.exp(best - log_mag) + 1.0
             best = log_mag
-        elif log_mag < best - 2000.0:
-            break
-    if best > _LOG_FLOAT_MAX and not (negative and positive):
-        raise DomainError(
-            f"{what}: its largest term, 10^{best / math.log(10.0):.1f}, is beyond float "
-            "range and no term has the other sign"
+        else:
+            scaled += math.exp(log_mag - best)
+            dip = min(dip, log_mag - best)
+            if log_mag < best - 2000.0:
+                break
+    log_sum = best + math.log(scaled)
+    if len(signs) == 1 and log_sum > _LOG_FLOAT_MAX + _LOG_SCAN_SLACK:
+        raise DomainError(f"{what}: terms of one sign sum to e^{log_sum:.1f}, beyond float range")
+    log10_peak = best / math.log(10.0)
+    cut_digits = _mp_dps(log10_peak) + _MP_CUT_GUARD
+    if k + 1 == cfg.max_terms and dip > -cut_digits * math.log(10.0) + _LOG_SCAN_SLACK:
+        raise NonConvergence(
+            f"{what} did not converge in {cfg.max_terms} terms: none falls "
+            f"{cut_digits} digits below the largest before it"
         )
-    return best / math.log(10.0)
+    return log10_peak
 
 
 def ml_eval(params: MLParams, z: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> float:
@@ -345,7 +367,7 @@ def ml_eval(params: MLParams, z: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFI
 
     what = "Mittag-Leffler series"
     total, peak, _ = _sum_series(_ml_terms(params, z), cfg, what)
-    if total is not None and peak <= _MP_FALLBACK_RATIO * max(abs(total), cfg.abs_floor):
+    if total is not None and peak <= _MP_FALLBACK_RATIO * max(abs(total), _ABS_FLOOR):
         return total
     value = _ml_contour(params, z)
     if value is not None:
@@ -354,7 +376,7 @@ def ml_eval(params: MLParams, z: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFI
         log10_peak = _log10_peak(_ml_terms(params, z), cfg, what)
     else:
         log10_peak = math.log10(peak)
-    return _ml_eval_mp(params, z, cfg, log10_peak)
+    return _mp_sum(functools.partial(_ml_terms_mp, params, z), cfg, log10_peak, what)
 
 
 def _ml_terms(params: MLParams, z: float) -> Iterator[tuple[float, float]]:
@@ -380,29 +402,47 @@ def _ml_terms(params: MLParams, z: float) -> Iterator[tuple[float, float]]:
         sign_front *= sign_z
 
 
-def _mp_sum(make_term: Callable[[], Callable[[int], object]], cfg: SeriesConfig, log10_peak: float, what: str) -> float:
+def _ml_terms_mp(params: MLParams, z: float) -> Iterator[mp.mpf]:
+    """The Mittag-Leffler series terms at z as mpf, at the working precision."""
+    zz = mp.mpf(z)
+    # Gamma arguments must be formed in mpf arithmetic: rounding
+    # mu + k*nu in float64 perturbs huge terms by ~1e-13 relative,
+    # which cancellation amplifies into a completely wrong sum
+    # (so is the Pochhammer factor gamma + k, for the same reason)
+    nu, mu, gam = mp.mpf(params.nu), mp.mpf(params.mu), mp.mpf(params.gamma)
+    front = mp.mpf(1)
+    for k in itertools.count():
+        yield front / mp.gamma(mu + nu * k)
+        g = gam + k
+        if g == 0:
+            return  # Pochhammer hit zero: the series terminated exactly
+        front = front * g * zz / (k + 1)
+
+
+def _mp_dps(log10_peak: float) -> int:
+    """First working precision of the mpmath rerun of a series whose
+    largest term is 10^log10_peak."""
+    return 25 + max(0, int(log10_peak))
+
+
+def _mp_sum(make_terms: Callable[[], Iterator], cfg: SeriesConfig, log10_peak: float, what: str) -> float:
     """Sum a series in mpmath, widening precision until cancellation leaves
     at least fifteen significant digits.
 
-    ``make_term`` is called once per attempt (under the working precision)
-    and must return a stateful ``term(k)`` callable producing term k as an
-    mpf, ``0`` for a term that vanishes identically, or ``None`` once the
-    series has terminated exactly.
+    ``make_terms`` is called once per attempt, under the working precision,
+    and returns a generator of the terms as mpf, read as ``_sum_series``
+    reads its terms: a 0 term vanished and counts toward ``cfg.max_terms``,
+    and the generator ending means the series terminated exactly.
     """
-    dps = 25 + max(0, int(log10_peak))
+    dps = _mp_dps(log10_peak)
     for _ in range(4):
         with mp.workdps(dps):
-            term_at = make_term()
             total = mp.mpf(0)
             peak = mp.mpf(0)
             small_run = 0
-            cut = mp.mpf(10) ** (-(dps + 5))
-            finished = False
-            for k in range(cfg.max_terms):
-                term = term_at(k)
-                if term is None:
-                    finished = True
-                    break
+            cut = mp.mpf(10) ** (-(dps + _MP_CUT_GUARD))
+            k = -1
+            for k, term in zip(range(cfg.max_terms), make_terms()):
                 mag = abs(term)
                 if mag == 0:
                     continue
@@ -412,14 +452,14 @@ def _mp_sum(make_term: Callable[[], Callable[[int], object]], cfg: SeriesConfig,
                 if mag < cut * peak:
                     small_run += 1
                     if small_run >= 3:
-                        finished = True
                         break
                 else:
                     small_run = 0
-            if not finished:
-                raise NonConvergence(
-                    f"{what} did not converge in {cfg.max_terms} terms (mp fallback, dps={dps})"
-                )
+            else:  # the budget ran out, or the terms did: an exact end
+                if k + 1 == cfg.max_terms:
+                    raise NonConvergence(
+                        f"{what} did not converge in {cfg.max_terms} terms (mp fallback, dps={dps})"
+                    )
             if total == 0:
                 lost = float(dps)
             elif peak > abs(total):
@@ -433,36 +473,6 @@ def _mp_sum(make_term: Callable[[], Callable[[int], object]], cfg: SeriesConfig,
                 return value
         dps = int(lost) + 22
     raise NonConvergence(f"{what}: cancellation exceeded the precision budget")
-
-
-def _ml_eval_mp(params: MLParams, z: float, cfg: SeriesConfig, log10_peak: float) -> float:
-    nu, mu, gam = params.nu, params.mu, params.gamma
-
-    def make_term():
-        state = {"front": mp.mpf(1), "done": False}
-        zz = mp.mpf(z)
-        # Gamma arguments must be formed in mpf arithmetic: rounding
-        # mu + k*nu in float64 perturbs huge terms by ~1e-13 relative,
-        # which cancellation amplifies into a completely wrong sum
-        # (so is the Pochhammer factor gamma + k, for the same reason)
-        nu_mp = mp.mpf(nu)
-        mu_mp = mp.mpf(mu)
-        gam_mp = mp.mpf(gam)
-
-        def term(k: int):
-            if state["done"]:
-                return None
-            val = state["front"] / mp.gamma(mu_mp + nu_mp * k)
-            g = gam_mp + k
-            if g == 0:
-                state["done"] = True
-            else:
-                state["front"] = state["front"] * g * zz / (k + 1)
-            return val
-
-        return term
-
-    return _mp_sum(make_term, cfg, log10_peak, "Mittag-Leffler series")
 
 
 def _phi(s: complex) -> float:
@@ -676,28 +686,6 @@ def r_function(
     return x ** (nu - mu - 1.0) * ml_eval(MLParams(nu=nu, mu=nu - mu), a * x**nu, cfg)
 
 
-def _wright_log_term(
-    params: WrightParams, k: int, log_pow: float, sign_pow: float
-) -> tuple[float, float]:
-    """(log magnitude, sign) of Wright term k, (-inf, 0) when a lower-list
-    Gamma pole makes the term vanish.  Raises on upper-list poles."""
-    log_mag = log_pow
-    sign = sign_pow
-    for a, aa in params.upper:
-        arg = a + aa * k
-        if _near_nonpositive_int(arg):
-            raise PoleError(f"upper Gamma argument {arg} hits a pole at term k={k}")
-        log_mag += gammaln(arg)
-        sign *= gammasgn(arg)
-    for b, bb in params.lower:
-        arg = b + bb * k
-        if _near_nonpositive_int(arg):
-            return -math.inf, 0.0
-        log_mag -= gammaln(arg)
-        sign *= gammasgn(arg)
-    return log_mag, sign
-
-
 def wright_eval(
     params: WrightParams, z: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG
 ) -> float:
@@ -720,50 +708,61 @@ def wright_eval(
         log10_peak = _log10_peak(_wright_terms(params, z), cfg, what)
     # long series hit the accuracy floor of float gammaln(k+1) against the
     # list Gammas; redo those in mpmath as well
-    elif n_used > 220 or peak > _MP_FALLBACK_RATIO * max(abs(total), cfg.abs_floor):
-        log10_peak = math.log10(max(peak, cfg.abs_floor))
+    elif n_used > 220 or peak > _MP_FALLBACK_RATIO * max(abs(total), _ABS_FLOOR):
+        log10_peak = math.log10(max(peak, _ABS_FLOOR))
     else:
         return total
-    return _wright_eval_mp(params, z, cfg, log10_peak)
+    return _mp_sum(functools.partial(_wright_terms_mp, params, z), cfg, log10_peak, what)
 
 
 def _wright_terms(params: WrightParams, z: float) -> Iterator[tuple[float, float]]:
-    """(log|term_k|, sign_k) of the Wright series at z."""
+    """(log|term_k|, sign_k) of the Wright series at z: (-inf, 0) at a
+    lower-list Gamma pole, ``PoleError`` at an upper-list one."""
     log_abs_z = math.log(abs(z)) if z != 0.0 else 0.0
     sign_z = 1.0 if z >= 0 else -1.0
     sign_pow = 1.0
     for k in itertools.count():
         # fresh log |z^k / k!| each term; see _ml_terms on O(k^2 eps) drift
-        yield _wright_log_term(params, k, k * log_abs_z - math.lgamma(k + 1.0), sign_pow)
+        log_mag, sign = k * log_abs_z - math.lgamma(k + 1.0), sign_pow
+        for a, aa in params.upper:
+            arg = a + aa * k
+            if _near_nonpositive_int(arg):
+                raise PoleError(f"upper Gamma argument {arg} hits a pole at term k={k}")
+            log_mag += gammaln(arg)
+            sign *= gammasgn(arg)
+        for b, bb in params.lower:
+            arg = b + bb * k
+            if _near_nonpositive_int(arg):
+                log_mag, sign = -math.inf, 0.0
+                break
+            log_mag -= gammaln(arg)
+            sign *= gammasgn(arg)
+        yield log_mag, sign
         if z == 0.0:
             return
         sign_pow *= sign_z
 
 
-def _wright_eval_mp(params: WrightParams, z: float, cfg: SeriesConfig, log10_peak: float) -> float:
-    def make_term():
-        state = {"pow": mp.mpf(1)}
-        zz = mp.mpf(z)
-        # see _ml_eval_mp: Gamma arguments are formed in mpf arithmetic
-        upper = tuple((mp.mpf(a), mp.mpf(aa)) for a, aa in params.upper)
-        lower = tuple((mp.mpf(b), mp.mpf(bb)) for b, bb in params.lower)
-
-        def term(k: int):
-            val = state["pow"]
-            state["pow"] = state["pow"] * zz / (k + 1)
-            for a, aa in upper:
-                if _near_nonpositive_int(float(a + aa * k)):
-                    raise PoleError(f"upper Gamma argument {a + aa * k} hits a pole at term k={k}")
-                val *= mp.gamma(a + aa * k)
-            for b, bb in lower:
-                if _near_nonpositive_int(float(b + bb * k)):
-                    return mp.mpf(0)
-                val /= mp.gamma(b + bb * k)
-            return val
-
-        return term
-
-    return _mp_sum(make_term, cfg, log10_peak, "Wright series")
+def _wright_terms_mp(params: WrightParams, z: float) -> Iterator[mp.mpf]:
+    """The Wright series terms at z as mpf, 0 at a lower-list Gamma pole."""
+    zz = mp.mpf(z)
+    # see _ml_terms_mp: Gamma arguments are formed in mpf arithmetic
+    upper = tuple((mp.mpf(a), mp.mpf(aa)) for a, aa in params.upper)
+    lower = tuple((mp.mpf(b), mp.mpf(bb)) for b, bb in params.lower)
+    power = mp.mpf(1)
+    for k in itertools.count():
+        term = power
+        power = power * zz / (k + 1)
+        for a, aa in upper:
+            if _near_nonpositive_int(float(a + aa * k)):
+                raise PoleError(f"upper Gamma argument {a + aa * k} hits a pole at term k={k}")
+            term *= mp.gamma(a + aa * k)
+        for b, bb in lower:
+            if _near_nonpositive_int(float(b + bb * k)):
+                term = mp.mpf(0)
+                break
+            term /= mp.gamma(b + bb * k)
+        yield term
 
 
 def hyp1f1(

@@ -14,6 +14,7 @@ from mittag_kinetics.errors import (
     QuadratureFailure,
 )
 from mittag_kinetics.laplace import (
+    DESCRIPTOR_KINDS,
     GammaPower,
     InversionConfig,
     LaplaceDensity,
@@ -63,6 +64,18 @@ class TestLtEval:
             lt_eval(MLBasic(c=1.0, nu=0.5), -1.0)
         with pytest.raises(DomainError):
             lt_eval(TwoRateProduct(c=1.0, d=2.0, nu=0.5, mu=1.0), 0.0)
+        with pytest.raises(DomainError):
+            lt_eval(ThreeTermBeta(a=1.0, b=1.0, alpha=1.5, beta=0.5), -0.5)
+
+    def test_catalog_kinds(self):
+        # the CLI looks kinds up by class name; each kind has its own
+        # value(), so counting calls to one never counts another's
+        assert sorted(DESCRIPTOR_KINDS) == sorted([
+            "GammaPower", "LaplaceDensity", "ResidualProduct", "MLBasic", "MLGeneral",
+            "TwoRateProduct", "ThreeTermAlpha", "ThreeTermBeta",
+        ])
+        for name, cls in DESCRIPTOR_KINDS.items():
+            assert cls.__name__ == name and "value" in vars(cls)
 
     def test_complex_evaluation(self):
         d = MLBasic(c=1.5, nu=0.6)
@@ -80,6 +93,8 @@ class TestLtEval:
             MLGeneral(c=1.0, nu=0.5, mu=1.0, gamma=-1.0)
         with pytest.raises(DomainError):
             ThreeTermAlpha(a=1.0, b=1.0, alpha=1.0, beta=1.5)
+        with pytest.raises(DomainError):
+            ThreeTermBeta(a=1.0, b=1.0, alpha=0.0, beta=0.0)
         with pytest.raises(DomainError):
             ResidualProduct(plus=(), minus=())
 
@@ -246,6 +261,8 @@ class TestInvertNumeric:
     def test_exponent_above_two_refused(self):
         with pytest.raises(DomainError):
             lt_invert_numeric(MLBasic(c=1.0, nu=2.5), 1.0)
+        with pytest.raises(DomainError):
+            lt_invert_numeric(ThreeTermAlpha(a=1.0, b=1.0, alpha=2.5, beta=1.0), 1.0)
 
     def test_unknown_rhp_singularities_refused(self):
         d = ThreeTermAlpha(a=-0.5, b=1.0, alpha=1.5, beta=0.5)

@@ -218,24 +218,38 @@ class TestMLEval:
         lambda: ml_eval(MLParams(nu=0.5, gamma=2.0), 27.0),
         lambda: ml_eval(MLParams(nu=0.5, gamma=2.0), 30.0),
         lambda: wright_eval(WrightParams(upper=((1.0, 1.0),), lower=((1.0, 0.5),)), 50.0),
-    ], ids=["ml-27", "ml-30", "wright-50"])
+        lambda: ml_eval(MLParams(nu=0.49746, mu=0.58063, gamma=2.0), 26.0234),
+    ], ids=["ml-27", "ml-30", "wright-50", "ml-sum"])
     def test_provable_overflow_refused_without_mp_rerun(self, monkeypatch, evaluate):
-        # every term is positive and the largest (10^318, 10^392, 10^1084)
-        # alone is beyond float range: no mpmath rerun is needed to say so
+        # every term is positive and their sum is beyond float range: the
+        # largest alone is (10^318, 10^392, 10^1084), or, for ml-sum, is not
+        # (10^306.6, the sum 10^308.7); no mpmath rerun is needed to say so
         def no_mp_series(*args):
             raise AssertionError("mpmath series used")
 
-        monkeypatch.setattr(special_functions, "_ml_eval_mp", no_mp_series)
-        monkeypatch.setattr(special_functions, "_wright_eval_mp", no_mp_series)
+        monkeypatch.setattr(special_functions, "_mp_sum", no_mp_series)
         with pytest.raises(DomainError):
             evaluate()
 
     def test_mp_rerun_refuses_values_beyond_float_range(self):
-        def make_term():
-            return lambda k: mp.mpf(10) ** 400 if k == 0 else None
+        def make_terms():
+            yield mp.mpf(10) ** 400
 
         with pytest.raises(DomainError):
-            special_functions._mp_sum(make_term, SeriesConfig(), 400.0, "test series")
+            special_functions._mp_sum(make_terms, SeriesConfig(), 400.0, "test series")
+
+    def test_hopeless_mp_rerun_refused_at_once(self, monkeypatch):
+        # E[1/2 Wright](-50): the terms alternate, peak at 10^1083.6 and are
+        # still 10^664 after the 10,000-term budget, so the rerun at 1108
+        # digits could not stop; it used to give up after two minutes
+        def no_mp_series(*args):
+            raise AssertionError("mpmath series used")
+
+        monkeypatch.setattr(special_functions, "_mp_sum", no_mp_series)
+        start = time.perf_counter()
+        with pytest.raises(NonConvergence):
+            wright_eval(WrightParams(upper=((1.0, 1.0),), lower=((1.0, 0.5),)), -50.0)
+        assert time.perf_counter() - start < 1.0
 
 
 def _ml_series_oracle(nu, mu, gamma, z):
@@ -376,9 +390,61 @@ class TestMLContour:
         def no_mp_series(*args):
             raise AssertionError("mpmath series used")
 
-        monkeypatch.setattr(special_functions, "_ml_eval_mp", no_mp_series)
+        monkeypatch.setattr(special_functions, "_mp_sum", no_mp_series)
         assert special_functions._ml_contour(params, z) == pytest.approx(expected, rel=1e-14, abs=0)
         assert ml_eval(params, z) == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+class TestMPRerun:
+    """The mpmath rerun on the inputs only it serves, held against the
+    mpmath series oracle and, for Wright, a closed form in mpmath."""
+
+    @staticmethod
+    def _count_reruns(monkeypatch) -> list:
+        calls = []
+        mp_sum = special_functions._mp_sum
+
+        def counting(*args):
+            calls.append(args[-1])
+            return mp_sum(*args)
+
+        monkeypatch.setattr(special_functions, "_mp_sum", counting)
+        return calls
+
+    def test_seeded_sweep_against_series_oracle(self, monkeypatch):
+        rng = np.random.default_rng(20261018)
+        points = []
+        # the reaction-diffusion regime: nu = 2, integer gamma, z far below -50
+        for gamma in range(1, 21):
+            for mu in (gamma, gamma + 1):
+                points.append((2.0, float(mu), float(gamma), -rng.uniform(50.0, 160.0)))
+        # gamma != 1 with nu >= 1, which no contour route takes
+        for i in range(40):
+            points.append((rng.uniform(1.0, 1.9), rng.uniform(0.5, 3.0), (2.0, 3.0)[i % 2],
+                           -rng.uniform(20.0, 50.0)))
+        calls = self._count_reruns(monkeypatch)
+        cfg = SeriesConfig(max_abs_z=200.0)
+        for nu, mu, gamma, z in points:
+            got = ml_eval(MLParams(nu=nu, mu=mu, gamma=gamma), z, cfg)
+            expected = _ml_series_oracle(nu, mu, gamma, z)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0), (nu, mu, gamma, z)
+        assert len(calls) == len(points)
+
+    def test_long_wright_series_against_closed_form(self, monkeypatch):
+        # Gamma(1 + k) z^k / (k! Gamma(1 + k/2)) sums to E_{1/2}(z) = erfcx(-z);
+        # past 220 terms the float sum is redone in mpmath whatever its ratio
+        params = WrightParams(upper=((1.0, 1.0),), lower=((1.0, 0.5),))
+        rng = np.random.default_rng(20261019)
+        points = [*-rng.uniform(6.0, 12.0, 5), *rng.uniform(8.0, 20.0, 5)]
+        calls = self._count_reruns(monkeypatch)
+        for z in points:
+            _, _, n_used = special_functions._sum_series(
+                special_functions._wright_terms(params, z), SeriesConfig(), "Wright series")
+            assert n_used > 220, z
+            with mp.workdps(40):
+                expected = float(mp.exp(mp.mpf(z) ** 2) * mp.erfc(-mp.mpf(z)))
+            assert wright_eval(params, z) == pytest.approx(expected, rel=1e-12, abs=0), z
+        assert len(calls) == len(points)
 
 
 class TestResponseFunctions:
