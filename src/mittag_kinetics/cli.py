@@ -259,6 +259,8 @@ def _build_invert_lt(params: dict, grid: list[float], tol: float | None):
     except TypeError as exc:
         raise _fail(f"bad descriptor parameters: {exc}") from exc
     target = _tol_or(tol, 1e-8)
+    # nodes is M of the mpmath fixed-Talbot stage (M and 2M nodes); the
+    # double-precision stage tried first always sums at 32 and 64
     nodes = params.get("nodes", 64)
     if isinstance(nodes, bool) or not isinstance(nodes, int):
         raise _fail(f"nodes must be an integer, got {nodes!r}")

@@ -8,12 +8,30 @@ oracles sit alongside:
 * ``lt_forward_numeric`` integrates e^{-pt} f(t) dt by adaptive quadrature,
   with a power-law substitution that removes an integrable t^rho endpoint
   singularity.
-* ``lt_invert_numeric`` inverts a transform on a fixed-Talbot deformed
-  contour.  The summation runs in mpmath working precision because the
-  contour weights cancel through ~e^r and double precision would floor the
-  error near 3e-7 at M=64; with scaled precision the practical floor is the
-  requested target.  Every inversion is self-checked by doubling the node
-  count and comparing.
+* ``lt_invert_numeric`` inverts a transform in two stages, each
+  self-checked by doubling its node count and comparing.
+  - Double precision first, for one-sided descriptors with known singular
+    points and none in the right half-plane: the midpoint rule on the
+    optimised (modified) Talbot contour at 32 and 64 nodes.  Its largest
+    weight is e^{0.171 N}, so rounding stays near 1e-11 (fixed Talbot, whose
+    weights reach ~e^r, would floor near 3e-7 at M=64 in double).  Worst
+    error seen: 9.2e-11 of max(1, |f|) over 1,040 seeded draws of every
+    Mittag-Leffler kind at nu in [0.3, 1.95], (c t)^nu <= 50, and gamma
+    densities, against ml_eval and exact forms.
+  - mpmath fixed Talbot otherwise, and for every value the first stage
+    refuses, at M and 2M nodes in scaled working precision; its practical
+    floor is the requested target.  Worst error seen: 1.4e-15, on the 119
+    values it settled in the tests' sweep and in 400 draws at nu in [1, 2)
+    with c t up to 250 and of quadratic denominators.
+  Node doubling cannot see a singular point outside both contours of a
+  stage: the sums agree on a value that lacks its residue.  So each
+  descriptor reports its singular points off the negative real axis
+  (poles c e^(+-i pi/nu) for nu > 1, quadratic roots), and a stage runs
+  only when every point whose weight e^{Re(p) t} is not negligible lies
+  inside both of its contours; when the mpmath contours miss one the
+  inversion raises InversionFailure.  Three-term kinds with 1 < alpha <= 2
+  and a non-quadratic denominator have unknown singular points and go to
+  the mpmath stage unguarded.
 
 Descriptors for two-sided transforms (the symmetric Laplace density and
 residual products with output factors) have singularities at +1/beta, so
@@ -24,7 +42,9 @@ Talbot recovers the t > 0 branch of the two-sided density.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union, get_args
 
@@ -81,6 +101,12 @@ class _Descriptor:
     def rhp_sigma(self) -> float:
         """Real part of the rightmost singularity if it lies in Re(p) > 0."""
         return 0.0
+
+    def singular_points(self) -> tuple[complex, ...] | None:
+        """Singular points a contour must enclose besides the cut along the
+        negative real axis, or None when they are not known.  Two-sided
+        kinds report none: their strip bound places the contour."""
+        return ()
 
     def inversion_exponent(self) -> float:
         """Largest p-power exponent in the denominator; the Talbot contour
@@ -187,6 +213,15 @@ def _pole_guard(den, scale) -> None:
         raise PoleError("denominator vanishes at this p")
 
 
+def _rate_poles(nu: float, *rates: float) -> tuple[complex, ...]:
+    """Zeros c e^(+-i pi/nu) of p^nu + c^nu for each rate c: on the
+    principal sheet only when nu > 1."""
+    if nu <= 1.0:
+        return ()
+    turn = cmath.exp(1j * math.pi / nu)
+    return tuple(c * w for c in rates for w in (turn, turn.conjugate()))
+
+
 class _PowerOfP(_Descriptor):
     """Kinds built from powers p^nu: real p must be positive, and nu is the
     largest power of p in the denominator."""
@@ -197,6 +232,9 @@ class _PowerOfP(_Descriptor):
 
     def inversion_exponent(self) -> float:
         return self.nu
+
+    def singular_points(self) -> tuple[complex, ...] | None:
+        return _rate_poles(self.nu, self.c)
 
 
 @dataclass(frozen=True)
@@ -239,7 +277,11 @@ class MLGeneral(_PowerOfP):
         cn = self.c**self.nu
         pn = p**self.nu
         _pole_guard(pn + cn, abs(pn) + cn)
-        return self.n0 * p ** (self.nu * (self.gamma + 1) - self.mu) / (cn + pn) ** (self.gamma + 1)
+        # p^-mu (1 + c^nu p^-nu)^-(gamma+1): for non-integer gamma and
+        # nu > 1 the cuts run from 0 to the branch points c e^(+-i pi/nu),
+        # inside any contour that encloses those points; the principal
+        # power of (c^nu + p^nu) would cut outward across the contour
+        return self.n0 * p ** (-self.mu) * (1 + cn / pn) ** (-(self.gamma + 1))
 
 
 @dataclass(frozen=True)
@@ -256,6 +298,9 @@ class TwoRateProduct(_PowerOfP):
     def __post_init__(self):
         if not (self.c > 0 and self.d > 0 and self.nu > 0 and self.mu > 0):
             raise DomainError(f"TwoRateProduct requires c, d, nu, mu > 0, got {self}")
+
+    def singular_points(self) -> tuple[complex, ...] | None:
+        return _rate_poles(self.nu, self.c, self.d)
 
     def value(self, p):
         cn, dn = self.c**self.nu, self.d**self.nu
@@ -276,17 +321,23 @@ class _ThreeTermBase(_PowerOfP):
     def inversion_exponent(self) -> float:
         return self.alpha
 
-    def rhp_sigma(self) -> float:
-        if self.a >= 0 and self.b >= 0:
-            return 0.0
+    def singular_points(self) -> tuple[complex, ...] | None:
         if self.alpha == 2.0 and self.beta == 1.0:
             # quadratic denominator: root locations are explicit
-            disc = self.a * self.a - 4.0 * self.b
-            if disc >= 0:
-                s = (-self.a + math.sqrt(disc)) / 2.0
-            else:
-                s = -self.a / 2.0
-            return max(s, 0.0)
+            root = cmath.sqrt(self.a * self.a - 4.0 * self.b)
+            return ((-self.a + root) / 2.0, (-self.a - root) / 2.0)
+        if self.alpha <= 1.0 and self.a >= 0 and self.b >= 0:
+            # off the cut p^alpha and a p^beta both have arguments in
+            # (0, pi) on one side of the axis, so the sum has no zeros
+            return ()
+        return None
+
+    def rhp_sigma(self) -> float:
+        points = self.singular_points()
+        if points is not None:
+            return max([0.0] + [p.real for p in points])
+        if self.a >= 0 and self.b >= 0:
+            return 0.0
         raise DomainError(
             "negative three-term coefficients with non-quadratic denominator: "
             "singularity locations unknown, refusing contour inversion"
@@ -415,8 +466,10 @@ def lt_forward_numeric(
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Contour inversion settings: node count and the accuracy target used
-    by the node-doubling self-check."""
+    """Contour inversion settings: the node count M of the mpmath
+    fixed-Talbot stage (it sums at M and 2M nodes; the double-precision
+    stage always uses 32 and 64) and the accuracy target that both stages'
+    node-doubling self-checks use."""
 
     M: int = 64
     precision_target: float = 1e-8
@@ -429,6 +482,59 @@ class InversionConfig:
 
 
 DEFAULT_INVERSION_CONFIG = InversionConfig()
+
+#: Contours sigma + mu theta cot(alpha theta) + i nu theta, theta in (-pi, pi),
+#: scaled by N/t or r/t: the optimised (modified) Talbot contour of
+#: Trefethen, Weideman & Schmelzer, BIT 46 (2006), and fixed Talbot.
+_MODIFIED_TALBOT = (-0.6122, 0.5017, 0.6407, 0.2645)
+_FIXED_TALBOT = (0.0, 1.0, 1.0, 1.0)
+
+#: Node counts of the double-precision stage.  The largest weight
+#: e^{Re z t} on the modified contour is e^{0.171 N}, about 6e4 at N = 64,
+#: so rounding stays near 1e-11 and node doubling still works in float64.
+_DOUBLE_NODES = (32, 64)
+
+#: A singular point p whose weight e^{Re(p) t} is below this fraction of
+#: the precision target cannot move the inverse; the guard ignores it.
+_NEGLIGIBLE = 1e-6
+
+
+def _encloses(points, t: float, scale: float, contour) -> bool:
+    """Whether every point p lies left of the contour scaled by scale/t.
+
+    At height Im(p t/scale) = nu theta the contour's real part is
+    sigma + mu theta cot(alpha theta); above nu pi it has no height left.
+    """
+    sigma, mu, alpha, nu = contour
+    for p in points:
+        w = p * t / scale
+        theta = abs(w.imag) / nu
+        if theta >= math.pi:
+            return False
+        edge = 1.0 / alpha if theta == 0.0 else theta / math.tan(alpha * theta)
+        if not w.real < sigma + mu * edge:
+            return False
+    return True
+
+
+def _modified_talbot_sum(F, t: float, N: int) -> tuple[float, float]:
+    """Midpoint rule on the modified Talbot contour z(theta), with
+    theta_k = -pi + (k + 1/2) 2 pi/N.  By conjugate symmetry
+    f ~ (2/N) sum_{theta_k > 0} Im[e^{z_k t} F(z_k) z'(theta_k)].
+    Returns the sum and its rounding estimate eps * sum |terms|."""
+    sigma, mu, alpha, nu = _MODIFIED_TALBOT
+    h = 2.0 * math.pi / N
+    acc = mag = 0.0
+    for k in range(N // 2):
+        theta = (k + 0.5) * h
+        cot = 1.0 / math.tan(alpha * theta)
+        z = (N / t) * complex(sigma + mu * theta * cot, nu * theta)
+        # z'(theta) t/N
+        dz = complex(mu * (cot - alpha * theta * (1.0 + cot * cot)), nu)
+        term = cmath.exp(z * t) * F(z) * dz
+        acc += term.imag
+        mag += abs(term)
+    return 2.0 / t * acc, 2.0 / t * sys.float_info.epsilon * mag
 
 
 def _talbot_sum(F, t: float, M: int, r: float, dps: int) -> float:
@@ -467,18 +573,31 @@ def lt_invert_numeric(
     t: float,
     cfg: InversionConfig = DEFAULT_INVERSION_CONFIG,
 ) -> float:
-    """Numerically invert a transform at time t on a fixed-Talbot contour.
+    """Numerically invert a transform at time t on a Talbot contour.
 
     Accepts either a catalog descriptor (which supplies contour metadata:
-    strip bounds for two-sided kinds, right-half-plane pole locations) or a
-    bare callable F(p) that must accept mpmath complex arguments.
+    strip bounds for two-sided kinds, right-half-plane pole locations,
+    singular points off the negative real axis) or a bare callable F(p)
+    that must accept mpmath complex arguments.
 
-    The result at 2M nodes is returned after checking that the M-node
-    result agrees within 10x the precision target (relative for O(1)
-    values, absolute below); disagreement raises InversionFailure.
+    A one-sided descriptor with known singular points and none in the
+    right half-plane is first summed in double precision on the modified
+    Talbot contour at 32 and 64 nodes; the 64-node value is returned when
+    the two agree within 10x the precision target and the rounding
+    estimate is below it (both relative for O(1) values, absolute below).
+    Otherwise, and for every other transform, the fixed-Talbot sum runs in
+    mpmath at cfg.M and 2 cfg.M nodes, and the 2M-node value is returned
+    after the same agreement check; disagreement raises InversionFailure.
+
+    A stage is used only when every known singular point p with weight
+    e^{Re(p) t} not far below the target lies inside both of its
+    contours: node doubling cannot see a point outside both, whose
+    residue the two sums would miss alike.  When the mpmath contours miss
+    one, InversionFailure is raised.
     """
     if not t > 0:
         raise DomainError(f"inversion requires t > 0, got {t}")
+    F, points = d, ()
     if isinstance(d, _Descriptor):
         if d.inversion_exponent() > 2.0 + 1e-12:
             raise DomainError(
@@ -486,12 +605,27 @@ def lt_invert_numeric(
                 "Talbot contour; refusing inversion"
             )
         F = d.value
-    else:
-        F = d
+        known = d.singular_points()
+        if known is not None:
+            floor = math.log(_NEGLIGIBLE * cfg.precision_target)
+            points = [p for p in known if p.real * t > floor]
+            if (d.strip_sigma() is None and d.rhp_sigma() <= 0.0
+                    and all(_encloses(points, t, N, _MODIFIED_TALBOT) for N in _DOUBLE_NODES)):
+                (coarse, _), (fine, rounding) = (_modified_talbot_sum(F, t, N)
+                                                 for N in _DOUBLE_NODES)
+                scale = max(abs(fine), 1.0)
+                if (abs(fine - coarse) <= 10.0 * cfg.precision_target * scale
+                        and rounding <= cfg.precision_target * scale):
+                    return fine
 
     results = []
     for M in (cfg.M, 2 * cfg.M):
         r = _contour_scale(d, t, M)
+        if not _encloses(points, t, r, _FIXED_TALBOT):
+            raise InversionFailure(
+                f"a singular point of the transform lies outside the {M}-node "
+                f"contour at t={t}; its residue would be missed"
+            )
         dps = 16 + int(0.18 * max(M, 2.5 * r))
         results.append(_talbot_sum(F, t, M, r, dps))
     coarse, fine = results

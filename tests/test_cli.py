@@ -155,6 +155,39 @@ class TestInversionTasks:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "numerical"
 
+    def test_pole_outside_contour_is_numerical_failure(self, tmp_path, capsys):
+        # the roots -0.05 +- 100i lie outside every contour at t = 1; the
+        # node-doubling check alone printed 8.77e-18 for the value 0.82050
+        spec = {
+            "version": "1",
+            "parameters": {"descriptor": {"kind": "ThreeTermAlpha", "a": 0.1, "b": 10000.0,
+                                          "alpha": 2.0, "beta": 1.0}},
+            "grid": {"start": 1.0, "stop": 1.0, "n": 1},
+        }
+        assert main(["invert-lt", "--spec", write_spec(tmp_path, spec)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert (err["type"], err["kind"]) == ("InversionFailure", "numerical")
+
+    def test_two_sided_output_frozen(self, tmp_path, capsys):
+        # two-sided transforms take the mpmath fixed-Talbot stage only;
+        # its output bytes stay as they were before the double stage
+        spec = {
+            "version": "1",
+            "parameters": {"descriptor": {"kind": "ResidualProduct", "plus": [[1.5, 0.7]],
+                                          "minus": [[1.2, 0.9]]}},
+            "grid": {"start": 0.6, "stop": 2.4, "n": 4},
+        }
+        assert main(["invert-lt", "--spec", write_spec(tmp_path, spec)]) == 0
+        assert capsys.readouterr().out == (
+            "t,N\n"
+            "0.59999999999999998,0.3087233548364573\n"
+            "1.2,0.16520992908562299\n"
+            "1.7999999999999998,0.08198630378819069\n"
+            "2.3999999999999999,0.039173842782081775\n"
+        )
+
     def test_nonpositive_grid_rejected(self, tmp_path):
         spec = {
             "version": "1",

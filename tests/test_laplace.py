@@ -3,10 +3,12 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mittag_kinetics import laplace
 from mittag_kinetics.errors import (
     DomainError,
     InversionFailure,
@@ -279,3 +281,179 @@ class TestInvertNumeric:
     def test_inversion_config_validation(self):
         with pytest.raises(DomainError):
             InversionConfig(M=8)
+
+
+class _MpStage(Exception):
+    """Raised in place of the mpmath stage's sums."""
+
+
+def _count_stages(monkeypatch, run_mp=True) -> dict:
+    """Count the sums each stage runs; with run_mp False the mpmath stage
+    raises _MpStage instead of summing."""
+    calls = {"double": 0, "mp": 0}
+    double_sum, mp_sum = laplace._modified_talbot_sum, laplace._talbot_sum
+
+    def double(*args):
+        calls["double"] += 1
+        return double_sum(*args)
+
+    def mpmath_stage(*args):
+        calls["mp"] += 1
+        if not run_mp:
+            raise _MpStage
+        return mp_sum(*args)
+
+    monkeypatch.setattr(laplace, "_modified_talbot_sum", double)
+    monkeypatch.setattr(laplace, "_talbot_sum", mpmath_stage)
+    return calls
+
+
+def _damped_cosine(a, b, t):
+    """Inverse of p/(p^2 + a p + b) for b > a^2/4."""
+    om = math.sqrt(b - a * a / 4.0)
+    return math.exp(-a * t / 2.0) * (math.cos(om * t) - a / (2.0 * om) * math.sin(om * t))
+
+
+class TestTwoStageInversion:
+    """The double-precision modified-Talbot stage and the guard on known
+    singular points that both stages share."""
+
+    # E_nu(-(c t)^nu) from the defining series in mpmath at 150 and 220
+    # digits, which agree to more than 100 digits
+    OUTSIDE_BOTH = [
+        (ThreeTermAlpha(a=0.1, b=10000.0, alpha=2.0, beta=1.0), 1.0,
+         _damped_cosine(0.1, 10000.0, 1.0)),
+        (MLBasic(c=100.0, nu=1.9), 1.0, 1.6043499410718924e-4),
+    ]
+    DOUBLE_MUST_REFUSE = [
+        (MLBasic(c=60.0, nu=1.95), 1.0, -0.088484587328928811),
+        (MLBasic(c=40.0, nu=1.95), 2.0, -0.0071551123014486717),
+        (ThreeTermAlpha(a=0.2, b=2500.0, alpha=2.0, beta=1.0), 1.0,
+         _damped_cosine(0.2, 2500.0, 1.0)),
+    ]
+
+    @staticmethod
+    def _refused_or_close(d, t, want):
+        try:
+            got = lt_invert_numeric(d, t)
+        except InversionFailure:
+            return
+        assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (d, t, got, want)
+
+    @pytest.mark.parametrize("d, t, want", OUTSIDE_BOTH + DOUBLE_MUST_REFUSE)
+    def test_singular_point_outside_contours(self, monkeypatch, d, t, want):
+        # both sums once agreed on a value that missed the residue of a
+        # pole pair outside both contours (8.8e-18 for the damped cosine
+        # 0.8205); each stage must now refuse or be right
+        self._refused_or_close(d, t, want)
+        monkeypatch.setattr(laplace, "_modified_talbot_sum", lambda F, t, N: (math.nan, 0.0))
+        self._refused_or_close(d, t, want)
+
+    @pytest.mark.parametrize("d, t, want", DOUBLE_MUST_REFUSE)
+    def test_double_stage_does_not_accept(self, monkeypatch, d, t, want):
+        _count_stages(monkeypatch, run_mp=False)
+        with pytest.raises((InversionFailure, _MpStage)):
+            lt_invert_numeric(d, t)
+
+    def test_singular_points(self):
+        turn = complex(math.cos(math.pi / 1.5), math.sin(math.pi / 1.5))
+        assert MLBasic(c=2.0, nu=0.9).singular_points() == ()
+        assert MLGeneral(c=2.0, nu=1.5, mu=1.0, gamma=0.5).singular_points() == pytest.approx(
+            [2.0 * turn, 2.0 * turn.conjugate()], rel=1e-15)
+        assert len(TwoRateProduct(c=1.0, d=3.0, nu=1.2, mu=2.0).singular_points()) == 4
+        assert ThreeTermBeta(a=1.0, b=-2.0, alpha=2.0, beta=1.0).singular_points() == (1.0, -2.0)
+        assert ThreeTermAlpha(a=0.6, b=4.0, alpha=2.0, beta=1.0).singular_points() == pytest.approx(
+            [complex(-0.3, math.sqrt(3.91)), complex(-0.3, -math.sqrt(3.91))], rel=1e-15)
+        assert ThreeTermAlpha(a=1.0, b=1.0, alpha=0.9, beta=0.4).singular_points() == ()
+        # unknown: the kinds with 1 < alpha <= 2 beyond the quadratic, and
+        # negative coefficients
+        assert ThreeTermAlpha(a=1.0, b=1.0, alpha=1.5, beta=0.5).singular_points() is None
+        assert ThreeTermBeta(a=-1.0, b=1.0, alpha=0.9, beta=0.4).singular_points() is None
+        assert LaplaceDensity(beta=1.0).singular_points() == ()
+
+    @staticmethod
+    def _sweep_points():
+        """(kind, nu, descriptor, t, exact inverse) with nu in [0.3, 1.95]
+        and (c t)^nu up to 50; the Mittag-Leffler kinds are held against
+        ml_eval, whose contour is Garrappa's parabola, not Talbot's."""
+        rng = np.random.default_rng(20061218)
+        points = []
+        for i in range(240):
+            kind = ("gamma", "basic", "general-int", "general-frac", "two-rate")[i % 5]
+            t = math.exp(rng.uniform(math.log(0.1), math.log(5.0)))
+            if kind == "gamma":
+                a, b = rng.uniform(0.3, 4.0), math.exp(rng.uniform(math.log(0.1), math.log(5.0)))
+                want = t ** (a - 1.0) * math.exp(-t / b - math.lgamma(a)) / b**a
+                points.append((kind, None, GammaPower(alpha=a, beta=b), t, want))
+                continue
+            nu = rng.uniform(0.3, 1.95)
+            x = math.exp(rng.uniform(math.log(0.01), math.log(50.0)))
+            c, n0 = x ** (1.0 / nu) / t, rng.uniform(0.5, 2.0)
+            if kind == "basic":
+                want = n0 * ml_eval(MLParams(nu), -x)
+                points.append((kind, nu, MLBasic(c=c, nu=nu, n0=n0), t, want))
+            elif kind == "two-rate":
+                mu = nu + rng.uniform(0.15, 1.0)
+                d = c / rng.uniform(1.5, 3.0)
+                # partial fractions over the two rates
+                cn, dn, lower = c**nu, d**nu, MLParams(nu, mu - nu)
+                want = n0 / (dn - cn) * t ** (mu - nu - 1.0) * (
+                    ml_eval(lower, -cn * t**nu) - ml_eval(lower, -dn * t**nu))
+                points.append((kind, nu, TwoRateProduct(c=c, d=d, nu=nu, mu=mu, n0=n0), t, want))
+            else:
+                mu = rng.uniform(0.3, 2.5)
+                g = float(i % 3) if kind == "general-int" else rng.uniform(-0.6, 2.0)
+                want = n0 * t ** (mu - 1.0) * ml_eval(MLParams(nu, mu, g + 1.0), -x)
+                points.append((kind, nu, MLGeneral(c=c, nu=nu, mu=mu, gamma=g, n0=n0), t, want))
+        return points
+
+    def test_seeded_sweep_against_closed_forms(self, monkeypatch):
+        calls = _count_stages(monkeypatch, run_mp=False)
+        settled = {"below": [0, 0], "above": [0, 0]}
+        for kind, nu, d, t, want in self._sweep_points():
+            before = calls["mp"]
+            try:
+                got = lt_invert_numeric(d, t)
+            except (InversionFailure, _MpStage):
+                got = None
+            band = settled["below" if nu is None or nu < 1.0 else "above"]
+            band[0] += 1
+            if got is not None:
+                assert calls["mp"] == before
+                band[1] += 1
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (kind, d, t, got, want)
+        below, above = settled["below"], settled["above"]
+        assert below[1] >= 0.8 * below[0]
+        # poles off the axis are enclosed often enough to test their guard
+        assert above[1] >= 0.5 * above[0]
+
+    def test_non_integer_gamma_cut_stays_inside(self):
+        # the principal power of (c^nu + p^nu) cuts outward from the
+        # branch points across the contour; both stages refused this point
+        d = MLGeneral(c=2.0, nu=1.9, mu=1.0, gamma=1.5)
+        want = ml_eval(MLParams(1.9, 1.0, 2.5), -(4.0**1.9))
+        assert lt_invert_numeric(d, 2.0) == pytest.approx(want, rel=1e-9)
+        # on the real axis the value is the closed form
+        p = 1.7
+        assert lt_eval(d, p) == pytest.approx(p ** (1.9 * 2.5 - 1.0) / (2.0**1.9 + p**1.9) ** 2.5,
+                                              rel=1e-14)
+
+    STRIP_CFG = InversionConfig(M=128, precision_target=1e-7)
+
+    @pytest.mark.parametrize("d, t, cfg, want", [
+        (LaplaceDensity(beta=1.0), 1.2, STRIP_CFG, math.exp(-1.2) / 2.0),
+        (ResidualProduct(plus=((1.0, 0.8),), minus=((1.0, 0.8),)), 0.9, STRIP_CFG,
+         math.exp(-0.9 / 0.8) / 1.6),
+        (ThreeTermBeta(a=1.0, b=-2.0, alpha=2.0, beta=1.0), 1.5, InversionConfig(),
+         (math.exp(1.5) - math.exp(-3.0)) / 3.0),
+        (lambda p: 1 / (p + 2) ** 2, 0.9, InversionConfig(), 0.9 * math.exp(-1.8)),
+        (ThreeTermAlpha(a=0.6, b=1.0, alpha=1.5, beta=0.5), 1.0, InversionConfig(), None),
+    ])
+    def test_ineligible_transforms_skip_double_stage(self, monkeypatch, d, t, cfg, want):
+        # two-sided kinds, right-half-plane poles, bare callables and
+        # unknown singular points go to the mpmath stage only
+        calls = _count_stages(monkeypatch)
+        got = lt_invert_numeric(d, t, cfg)
+        assert calls == {"double": 0, "mp": 2}
+        if want is not None:
+            assert got == pytest.approx(want, rel=3e-7)
