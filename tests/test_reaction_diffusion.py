@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mittag_kinetics import special_functions
 from mittag_kinetics.errors import DomainError, InstabilityWarning, StabilityError
 from mittag_kinetics.reaction_diffusion import (
     RDProblem,
@@ -130,6 +131,40 @@ class TestSpectral:
         full = np.fft.fft(sol.field[0])
         sym = np.abs(full - np.conj(full[(-np.arange(m)) % m])).max()
         assert sym <= 1e-12 * np.linalg.norm(sol.field[0])
+
+    def test_every_mode_at_m64_without_mp_series(self, monkeypatch):
+        # all 32 modes live at two times: the outer series need about 1,700
+        # values E^(r+1)_(2,mu)(z) with integer r and mu and z down to -1024.
+        # The float sum or the hypergeometric stage gives each of them; the
+        # mpmath series rerun, which once made 1,169 of them, is never used
+        calls = []
+        mp_sum = special_functions._mp_sum
+
+        def counting(*args):
+            calls.append(args)
+            return mp_sum(*args)
+
+        monkeypatch.setattr(special_functions, "_mp_sum", counting)
+        m, a, nu2, xi = 64, 0.5, 1.0, 0.2
+        x = grid(m)
+        rng = np.random.default_rng(64)
+        n0, n1 = np.zeros(m), np.zeros(m)
+        for k in range(1, m // 2 + 1):
+            a0, a1 = rng.normal(size=2)
+            p0, p1 = rng.uniform(0.0, 2.0 * math.pi, 2)
+            n0 += a0 * np.cos(k * x + p0) / k
+            n1 += a1 * np.cos(k * x + p1) / k
+        pr = RDProblem(a=a, nu2=nu2, xi=xi, length=L, n0=n0, n1=n1, times=(0.5, 1.0))
+        sol = rd_solve_spectral(pr)
+        assert calls == []
+        # each mode against its damped oscillator in elementary functions
+        c0, c1 = np.fft.rfft(n0), np.fft.rfft(n1)
+        for row, t in enumerate(pr.times):
+            om = np.sqrt((nu2 * np.arange(m // 2 + 1) ** 2 - xi**2 - a * a / 4.0).astype(complex))
+            spec = math.exp(-a * t / 2.0) * (
+                c0 * np.cos(om * t) + (c1 + a * c0 / 2.0) * np.sin(om * t) / om
+            )
+            assert np.abs(sol.field[row] - np.fft.irfft(spec, n=m)).max() < 1e-12
 
     def test_metadata_lists_retained_modes(self):
         m, k = 32, 4

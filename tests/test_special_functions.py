@@ -4,6 +4,7 @@ Fixed-point expected values were computed once with a 40-digit mpmath
 direct summation of the defining series and frozen here.
 """
 
+import itertools
 import math
 import time
 
@@ -255,34 +256,70 @@ class TestMLEval:
 def _ml_series_oracle(nu, mu, gamma, z):
     """E[nu, mu, gamma](z), gamma > 0, by the defining series in mpmath.
 
-    A float scan of log|term_k| fixes the last term and the working
-    precision (the peak term's digits plus a guard, where terms alternate);
-    the sum is redone wider if it comes out further below the peak than
-    the guard allows.
+    A float scan of log|term_k| finds the peak term, whose digits plus a
+    guard set the first working precision where terms alternate.  Past
+    the peak the sum stops once three terms in a row fall 30 digits below
+    the partial sum: the cut is relative to the result, never absolute.
+    The value is kept when it stands 25 digits clear of the cancellation
+    and a second sum, 20 digits wider, agrees with it to 1e-25; otherwise
+    both are redone wider.  1/Gamma(mu + k nu) comes from ``mp.rgamma``,
+    or for integer nu from its recurrence.
     """
     log_z = math.log(abs(z))
-    peak, k = -math.inf, 0
+
+    def log_term(k):
+        return (math.lgamma(gamma + k) - math.lgamma(gamma) - math.lgamma(k + 1.0)
+                + k * log_z - math.lgamma(mu + k * nu))
+
+    peak, k_peak, k = log_term(0), 0, 0
     while True:
-        lt = (math.lgamma(gamma + k) - math.lgamma(gamma) - math.lgamma(k + 1.0)
-              + k * log_z - math.lgamma(mu + k * nu))
-        peak = max(peak, lt)
-        if lt < (peak if z > 0 else min(peak, 0.0)) - 60 * math.log(10.0) and k > 2:
-            break
         k += 1
-    peak10 = max(peak, 0.0) / math.log(10.0)
-    dps = 30 + (0 if z > 0 else int(peak10))
-    while True:
+        lt = log_term(k)
+        if lt > peak:
+            peak, k_peak = lt, k
+        elif lt < peak - 20.0:
+            break
+    peak10 = peak / math.log(10.0)
+    whole = int(nu) if nu == int(nu) else 0
+
+    def series(dps):
         with mp.workdps(dps):
             g, zz, m, n = mp.mpf(gamma), mp.mpf(z), mp.mpf(mu), mp.mpf(nu)
-            front, terms = mp.mpf(1), []
-            for j in range(k + 1):
-                terms.append(front * mp.rgamma(m + j * n))
+            cut = mp.mpf(10) ** -30
+            front, total, small = mp.mpf(1), mp.mpf(0), 0
+            rgamma = mp.rgamma(m)
+            for j in itertools.count():
+                term = front * rgamma
+                total += term
+                small = small + 1 if j > k_peak and abs(term) < cut * abs(total) else 0
+                if small == 3:
+                    return total
                 front *= (g + j) * zz / (j + 1)
-            total = mp.fsum(terms)
-            lost = peak10 - float(mp.log10(abs(total)))
-            if dps - lost >= 25:
-                return float(total)
-        dps = int(lost) + 35
+                if whole:  # 1/Gamma(x + nu) by its recurrence
+                    x = m + j * n
+                    for i in range(whole):
+                        rgamma /= x + i
+                else:
+                    rgamma = mp.rgamma(m + (j + 1) * n)
+
+    dps = 30 + (0 if z > 0 else max(0, int(peak10)))
+    while True:
+        value = series(dps)
+        lost = dps if value == 0 else peak10 - float(mp.log10(abs(value)))
+        if dps - lost >= 25:
+            wider = series(dps + 20)
+            with mp.workdps(dps + 20):
+                if abs(wider - value) <= mp.mpf(10) ** -25 * abs(wider):
+                    return float(wider)
+        dps = max(dps + 20, int(lost) + 35)
+
+
+def test_series_oracle_cut_is_relative():
+    # the terms of this sum fall below 1e-60 long before they fall below
+    # the result, -1.0713218392530977e-70 (400- and 600-digit series); an
+    # absolute cut there returned -2.14e-61
+    got = _ml_series_oracle(1.0, 24.53554478180346, 38.86571772765416, -138.25688161287252)
+    assert got == pytest.approx(-1.0713218392530977e-70, rel=1e-15, abs=0)
 
 
 class TestMLContour:
@@ -413,11 +450,15 @@ class TestMPRerun:
 
     def test_seeded_sweep_against_series_oracle(self, monkeypatch):
         rng = np.random.default_rng(20261018)
+        orders = iter(np.random.default_rng(20261103).uniform(2.01, 2.1, 40))
         points = []
-        # the reaction-diffusion regime: nu = 2, integer gamma, z far below -50
+        # next to the reaction-diffusion regime (TestHyperStage), at orders
+        # no hypergeometric stage takes: integer gamma, z below -80, where
+        # each of these sums cancels past what the float path keeps
         for gamma in range(1, 21):
             for mu in (gamma, gamma + 1):
-                points.append((2.0, float(mu), float(gamma), -rng.uniform(50.0, 160.0)))
+                points.append((float(next(orders)), float(mu), float(gamma),
+                               -rng.uniform(80.0, 160.0)))
         # gamma != 1 with nu >= 1, which no contour route takes
         for i in range(40):
             points.append((rng.uniform(1.0, 1.9), rng.uniform(0.5, 3.0), (2.0, 3.0)[i % 2],
@@ -445,6 +486,67 @@ class TestMPRerun:
                 expected = float(mp.exp(mp.mpf(z) ** 2) * mp.erfc(-mp.mpf(z)))
             assert wright_eval(params, z) == pytest.approx(expected, rel=1e-12, abs=0), z
         assert len(calls) == len(points)
+
+
+class TestHyperStage:
+    """Integer orders nu = 1-4 through mpmath's hypergeometric sum, held
+    against the mpmath series oracle: no value there needs the mpmath
+    series rerun."""
+
+    @staticmethod
+    def _sweep_points():
+        rng = np.random.default_rng(20261102)
+        points = []
+        # the reaction-diffusion regime: nu = 2, integer gamma, z far below -50
+        for gamma in range(1, 21):
+            for mu in (gamma, gamma + 1):
+                points.append((2.0, float(mu), float(gamma), -rng.uniform(50.0, 160.0)))
+        for i in range(64):
+            gamma = float(rng.integers(1, 65)) if i % 2 else rng.uniform(0.3, 64.0)
+            mu = float(rng.integers(1, 41)) if i % 3 == 0 else rng.uniform(0.3, 40.0)
+            z = rng.uniform(1.0, 200.0) * (1.0 if i % 4 == 3 else -1.0)
+            points.append((float(1 + i % 4), mu, gamma, z))
+        return points
+
+    def test_seeded_sweep_against_series_oracle(self, monkeypatch):
+        def no_mp_series(*args):
+            raise AssertionError("mpmath series used")
+
+        hyper_calls = []
+        ml_hyper = special_functions._ml_hyper
+
+        def counting(*args):
+            hyper_calls.append(args)
+            return ml_hyper(*args)
+
+        monkeypatch.setattr(special_functions, "_mp_sum", no_mp_series)
+        monkeypatch.setattr(special_functions, "_ml_hyper", counting)
+        cfg = SeriesConfig(max_abs_z=200.0)
+        points = self._sweep_points()
+        for nu, mu, gamma, z in points:
+            got = ml_eval(MLParams(nu=nu, mu=mu, gamma=gamma), z, cfg)
+            expected = _ml_series_oracle(nu, mu, gamma, z)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0), (nu, mu, gamma, z)
+        # the sweep must exercise the new stage, not only the float sum
+        assert len(hyper_calls) >= 0.5 * len(points)
+
+    @pytest.mark.parametrize("nu,mu,gamma,z,expected", [
+        # the float sum, at peak/sum 106, was kept and off by 1.1e-11
+        (2.0, 51.0, 50.0, -156.39, 1.2731453720672772e-66),
+        # the mpmath series rerun raised NonConvergence
+        (1.0, 33.17395544700555, 42.0, -199.67158540170428, -1.110371965161199e-91),
+    ])
+    def test_regressions(self, nu, mu, gamma, z, expected):
+        # expected values from 400- and 600-digit series, which agree
+        assert _ml_series_oracle(nu, mu, gamma, z) == pytest.approx(expected, rel=1e-15, abs=0)
+        got = ml_eval(MLParams(nu=nu, mu=mu, gamma=gamma), z, SeriesConfig(max_abs_z=200.0))
+        assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_exact_zero_still_refused(self):
+        # E^-1_{3,1}(6) = 1 - 6/3! is exactly 0: no rounding of z/27 may turn
+        # it into a value; mpmath gives up and so does the series rerun
+        with pytest.raises(NonConvergence):
+            ml_eval(MLParams(nu=3.0, mu=1.0, gamma=-1.0), 6.0)
 
 
 class TestResponseFunctions:
