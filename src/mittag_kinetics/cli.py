@@ -31,16 +31,14 @@ import numpy as np
 
 from .errors import MittagKineticsError, SpecError
 from .fracint import residual_check
-from .kinetics import (
-    KineticProblem,
-    NumeratorKind,
-    ProblemKind,
-    ThreeTermTransform,
-    invert_three_term,
-    solve,
-    transform_of,
+from .kinetics import KineticProblem, ProblemKind, invert_three_term, solve, transform_of
+from .laplace import (
+    DESCRIPTOR_KINDS,
+    InversionConfig,
+    ThreeTermAlpha,
+    ThreeTermBeta,
+    lt_invert_numeric,
 )
-from .laplace import DESCRIPTOR_KINDS, InversionConfig, lt_invert_numeric
 from .special_functions import (
     DEFAULT_SERIES_CONFIG,
     MLParams,
@@ -60,6 +58,9 @@ TASKS = (
     "rd-solve",
     "verify",
 )
+
+# invert-three-term "numerator" values and the catalog kinds they name
+_NUMERATORS = {"alpha-minus-one": ThreeTermAlpha, "beta-minus-one": ThreeTermBeta}
 
 _RESIDUAL_GATE = 1e-4
 _VERIFY_TOL = 1e-5
@@ -276,17 +277,16 @@ def _build_invert_lt(params: dict, grid: list[float], tol: float | None):
 def _build_invert_three_term(params: dict, grid: list[float], tol: float | None):
     _check_keys(params, {"alpha", "beta", "a", "b", "numerator", "outer_terms"},
                 "invert-three-term")
-    try:
-        numerator = NumeratorKind(params.get("numerator", "alpha-minus-one"))
-    except ValueError:
-        choices = ", ".join(k.value for k in NumeratorKind)
-        raise _fail(f"numerator must be one of {choices}, got {params.get('numerator')!r}")
-    tt = ThreeTermTransform(
+    numerator = params.get("numerator", "alpha-minus-one")
+    kind = _NUMERATORS.get(numerator) if isinstance(numerator, str) else None
+    if kind is None:
+        choices = ", ".join(_NUMERATORS)
+        raise _fail(f"numerator must be one of {choices}, got {numerator!r}")
+    d = kind(
         alpha=_as_float(params.get("alpha"), "alpha"),
         beta=_as_float(params.get("beta"), "beta"),
         a=_as_float(params.get("a"), "a"),
         b=_as_float(params.get("b"), "b"),
-        numerator_kind=numerator,
     )
     outer = params.get("outer_terms", 64)
     if isinstance(outer, bool) or not isinstance(outer, int) or outer < 1:
@@ -295,7 +295,7 @@ def _build_invert_three_term(params: dict, grid: list[float], tol: float | None)
     _positive_grid(grid, "inversion")
 
     def compute() -> tuple[Rows, Meta]:
-        return [[t, invert_three_term(tt, t, outer, cfg)] for t in grid], None
+        return [[t, invert_three_term(d, t, outer, cfg)] for t in grid], None
 
     return ["t", "N"], compute
 

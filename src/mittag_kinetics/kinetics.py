@@ -12,12 +12,14 @@ Mittag-Leffler function. ``solve`` returns that combination as a
 descriptor so the series can be cross-checked against numerical
 inversion.
 
-Transforms with a three-term denominator p**alpha + a p**beta + b fall
-outside the single-rate family; ``invert_three_term`` sums their inverse
-as an outer series of three-parameter Mittag-Leffler terms in powers of
-a * t**(alpha-beta). The outer series is treated as convergent only for
-|a| t**(alpha-beta) <= 20; beyond that the truncation estimate is
-meaningless and a DomainError is raised instead.
+Transforms with a three-term denominator p**alpha + a p**beta + b, the
+catalog kinds ``laplace.ThreeTermAlpha`` (numerator p**(alpha-1)) and
+``ThreeTermBeta`` (numerator p**(beta-1)), fall outside the single-rate
+family; ``invert_three_term`` sums their inverse as an outer series of
+three-parameter Mittag-Leffler terms in powers of a * t**(alpha-beta).
+The outer series is treated as convergent only for |a| t**(alpha-beta)
+<= 20; beyond that the truncation estimate is meaningless and a
+DomainError is raised instead.
 
 All evaluation funnels through ``special_functions.ml_eval`` so there is
 a single audited series implementation.
@@ -248,68 +250,40 @@ def partial_fraction_split(c: float, d: float, nu: float, p: complex) -> tuple[c
     return product, split
 
 
-class NumeratorKind(Enum):
-    """Numerator power of a three-term transform."""
-
-    ALPHA_MINUS_ONE = "alpha-minus-one"
-    BETA_MINUS_ONE = "beta-minus-one"
-
-
-@dataclass(frozen=True)
-class ThreeTermTransform:
-    """Transform p**k / (p**alpha + a p**beta + b), k from numerator_kind."""
-
-    alpha: float
-    beta: float
-    a: float
-    b: float
-    numerator_kind: NumeratorKind = NumeratorKind.ALPHA_MINUS_ONE
-
-    def __post_init__(self) -> None:
-        if not self.alpha > self.beta >= 0.0:
-            raise DomainError(
-                f"need alpha > beta >= 0, got alpha={self.alpha}, beta={self.beta}"
-            )
-
-    def descriptor(self) -> TransformDescriptor:
-        """The equivalent transform-catalog descriptor (oracle hook)."""
-        if self.numerator_kind is NumeratorKind.ALPHA_MINUS_ONE:
-            return ThreeTermAlpha(a=self.a, b=self.b, alpha=self.alpha, beta=self.beta)
-        return ThreeTermBeta(a=self.a, b=self.b, alpha=self.alpha, beta=self.beta)
-
-
-def invert_three_term(tt: ThreeTermTransform, t: float, outer_terms: int = 64,
+def invert_three_term(d: ThreeTermAlpha | ThreeTermBeta, t: float, outer_terms: int = 64,
                       cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> float:
-    """Inverse transform of a three-term denominator at time t.
+    """Inverse transform of the catalog three-term kind d at time t.
 
     Expands 1 / (p**alpha + a p**beta + b) in powers of
     a / (p**(alpha-beta) + b p**(-beta)) and inverts term by term,
     giving an outer series of three-parameter Mittag-Leffler values in
-    x = -a * t**(alpha-beta). Truncation stops once two consecutive
-    terms fall below the series tolerance; if the budget runs out first
-    and the tail estimate (twice the last term) is above the accepted
-    level, NonConvergence is raised.
+    x = -a * t**(alpha-beta), every power of t shifted by the kind's
+    numerator order. Truncation stops once two consecutive terms fall
+    below the series tolerance; if the budget runs out first and the tail
+    estimate (twice the last term) is above the accepted level,
+    NonConvergence is raised.
     """
     if t <= 0.0:
         raise DomainError(f"time must be positive, got {t}")
     if outer_terms < 1:
         raise DomainError(f"outer_terms must be at least 1, got {outer_terms}")
-    gap = tt.alpha - tt.beta
-    if abs(tt.a) * t**gap > _OUTER_ARG_LIMIT:
+    gap = d.alpha - d.beta
+    if abs(d.a) * t**gap > _OUTER_ARG_LIMIT:
         raise DomainError(
-            f"outer series diverges: |a| t**(alpha-beta) = {abs(tt.a) * t ** gap:.3g} > "
+            f"outer series diverges: |a| t**(alpha-beta) = {abs(d.a) * t ** gap:.3g} > "
             f"{_OUTER_ARG_LIMIT}"
         )
-    shift = 0.0 if tt.numerator_kind is NumeratorKind.ALPHA_MINUS_ONE else gap
-    z = -tt.b * t**tt.alpha
+    # numerator p**(k-1) shifts every power by alpha - 1 - (k - 1) = alpha - k
+    shift = d.alpha - d.numerator_order
+    z = -d.b * t**d.alpha
     total = 0.0
     comp = 0.0
     small_run = 0
     term = 0.0
     for r in range(outer_terms):
         power = gap * r + shift
-        ml = MLParams(nu=tt.alpha, mu=power + 1.0, gamma=float(r + 1))
-        term = (-tt.a) ** r * t**power * ml_eval(ml, z, cfg)
+        ml = MLParams(nu=d.alpha, mu=power + 1.0, gamma=float(r + 1))
+        term = (-d.a) ** r * t**power * ml_eval(ml, z, cfg)
         y = term - comp
         s = total + y
         comp = (s - total) - y

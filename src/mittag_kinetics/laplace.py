@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union, get_args
@@ -73,14 +74,6 @@ __all__ = [
 
 #: Relative tolerance below which a denominator counts as a pole hit.
 _DEN_TOL = 1e-12
-
-
-def _is_real(p) -> bool:
-    if isinstance(p, (int, float)):
-        return True
-    if isinstance(p, complex):
-        return p.imag == 0.0
-    return False
 
 
 class _Descriptor:
@@ -310,13 +303,24 @@ class TwoRateProduct(_PowerOfP):
         return self.n0 * p ** (2 * self.nu - self.mu) / ((pn + cn) * (pn + dn))
 
 
+@dataclass(frozen=True)
 class _ThreeTermBase(_PowerOfP):
-    def _den(self, p):
-        return p**self.alpha + self.a * p**self.beta + self.b
+    """p^(k-1) / (p^alpha + a p^beta + b) with alpha > beta >= 0; each kind
+    states its numerator order k (alpha or beta) in ``numerator_order``."""
 
-    def _validate(self):
+    a: float
+    b: float
+    alpha: float
+    beta: float
+
+    def __post_init__(self):
         if not (self.alpha > self.beta >= 0):
             raise DomainError(f"three-term transform requires alpha > beta >= 0, got {self}")
+
+    def _den(self, p):
+        den = p**self.alpha + self.a * p**self.beta + self.b
+        _pole_guard(den, abs(p) ** self.alpha + abs(self.a) * abs(p) ** self.beta + abs(self.b))
+        return den
 
     def inversion_exponent(self) -> float:
         return self.alpha
@@ -348,36 +352,24 @@ class _ThreeTermBase(_PowerOfP):
 class ThreeTermAlpha(_ThreeTermBase):
     """p^(alpha-1) / (p^alpha + a p^beta + b): the L3 three-term kind."""
 
-    a: float
-    b: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        self._validate()
+    @property
+    def numerator_order(self) -> float:
+        return self.alpha
 
     def value(self, p):
-        den = self._den(p)
-        _pole_guard(den, abs(p) ** self.alpha + abs(self.a) * abs(p) ** self.beta + abs(self.b))
-        return p ** (self.alpha - 1) / den
+        return p ** (self.numerator_order - 1) / self._den(p)
 
 
 @dataclass(frozen=True)
 class ThreeTermBeta(_ThreeTermBase):
     """p^(beta-1) / (p^alpha + a p^beta + b): the L4 three-term kind."""
 
-    a: float
-    b: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        self._validate()
+    @property
+    def numerator_order(self) -> float:
+        return self.beta
 
     def value(self, p):
-        den = self._den(p)
-        _pole_guard(den, abs(p) ** self.alpha + abs(self.a) * abs(p) ** self.beta + abs(self.b))
-        return p ** (self.beta - 1) / den
+        return p ** (self.numerator_order - 1) / self._den(p)
 
 
 TransformDescriptor = Union[
@@ -401,8 +393,9 @@ def lt_eval(d: TransformDescriptor, p) -> complex:
     (DomainError outside it, PoleError on a singular point); complex p is
     evaluated on the principal branch of p^nu with only the pole guard.
     """
-    if _is_real(p):
-        pr = p.real if isinstance(p, complex) else float(p)
+    # real p: any number without imaginary part, numpy's real scalars included
+    if isinstance(p, numbers.Complex) and p.imag == 0:
+        pr = float(p.real)
         d.check_real_validity(pr)
         return complex(d.value(pr))
     return complex(d.value(p))
@@ -420,7 +413,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     singular_power: float = 0.0
-    tail_decades: float = 20.0
 
     def __post_init__(self):
         if self.singular_power <= -1.0:
@@ -429,20 +421,23 @@ class QuadratureConfig:
 
 DEFAULT_QUADRATURE_CONFIG = QuadratureConfig()
 
+#: Decades of e^{-pT} decay at which the forward integral is truncated.
+_TAIL_DECADES = 20.0
+
 
 def lt_forward_numeric(
     f: Callable[[float], float], p: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE_CONFIG
 ) -> float:
     """Numerically compute the forward transform integral of e^{-pt} f(t).
 
-    The integral is truncated at T with e^{-pT} about ``tail_decades``
+    The integral is truncated at T with e^{-pT} about ``_TAIL_DECADES``
     orders below one, far under the requested tolerance for the
     sub-exponential integrands this package produces.
     """
     if not p > 0:
         raise DomainError(f"forward transform requires p > 0, got {p}")
     s = 1.0 / (1.0 + cfg.singular_power)
-    T = cfg.tail_decades * math.log(10.0) / p
+    T = _TAIL_DECADES * math.log(10.0) / p
 
     def integrand(u: float) -> float:
         if u <= 0.0:

@@ -11,8 +11,9 @@ nu2 k_m**2 - xi**2. The spectral solver inverts each mode's transform
     [(p + a) C0 + C1] / (p**2 + a p + b_m)
 
 through the outer Mittag-Leffler series of ``invert_three_term`` (the
-p/(den) and 1/(den) pieces), then returns to physical space by inverse
-FFT. Modes with b_m < 0 grow; they are solved but flagged with
+p/(den) and 1/(den) pieces are the catalog kinds ``ThreeTermAlpha`` and
+``ThreeTermBeta`` at alpha = 2, beta = 1), then returns to physical space
+by inverse FFT. Modes with b_m < 0 grow; they are solved but flagged with
 InstabilityWarning.
 
 ``rd_solve_fd`` provides the independent reference: second-order
@@ -30,7 +31,8 @@ import numpy as np
 
 from .errors import DomainError, StabilityError
 from .errors import InstabilityWarning
-from .kinetics import NumeratorKind, ThreeTermTransform, invert_three_term
+from .kinetics import invert_three_term
+from .laplace import ThreeTermAlpha, ThreeTermBeta
 from .special_functions import DEFAULT_SERIES_CONFIG, SeriesConfig
 
 # Fourier coefficients this far below the largest one are treated as
@@ -120,11 +122,8 @@ class RDSolution:
 
 def _mode_kernels(a: float, b: float, t: float, cfg: SeriesConfig) -> tuple[float, float]:
     # inverse transforms of p/(p^2+ap+b) and 1/(p^2+ap+b)
-    tt3 = ThreeTermTransform(alpha=2.0, beta=1.0, a=a, b=b)
-    tt4 = ThreeTermTransform(alpha=2.0, beta=1.0, a=a, b=b,
-                             numerator_kind=NumeratorKind.BETA_MINUS_ONE)
-    l3 = invert_three_term(tt3, t, cfg=cfg)
-    l4 = invert_three_term(tt4, t, cfg=cfg)
+    l3 = invert_three_term(ThreeTermAlpha(a=a, b=b, alpha=2.0, beta=1.0), t, cfg=cfg)
+    l4 = invert_three_term(ThreeTermBeta(a=a, b=b, alpha=2.0, beta=1.0), t, cfg=cfg)
     return l3, l4
 
 

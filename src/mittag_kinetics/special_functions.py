@@ -391,12 +391,12 @@ def ml_eval(params: MLParams, z: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFI
     series redone in mpmath at a working precision wide enough to leave
     fifteen clean digits.
 
-    Raises ``DomainError`` for |z| beyond ``cfg.max_abs_z`` or a value
+    Raises ``DomainError`` for NaN z, |z| beyond ``cfg.max_abs_z`` or a value
     beyond float range, and ``NonConvergence`` if the termination
     criterion is not met within ``cfg.max_terms`` terms.
     """
     z = float(z)
-    if abs(z) > cfg.max_abs_z:
+    if not abs(z) <= cfg.max_abs_z:
         raise DomainError(
             f"|z| = {abs(z)} exceeds the configured series domain bound {cfg.max_abs_z}"
         )
@@ -771,7 +771,7 @@ def wright_eval(
     triggers the same mpmath fallback as ``ml_eval``.
     """
     z = float(z)
-    if abs(z) > cfg.max_abs_z:
+    if not abs(z) <= cfg.max_abs_z:
         raise DomainError(
             f"|z| = {abs(z)} exceeds the configured series domain bound {cfg.max_abs_z}"
         )

@@ -18,9 +18,7 @@ import pytest
 from mittag_kinetics.fracint import residual_check
 from mittag_kinetics.kinetics import (
     KineticProblem,
-    NumeratorKind,
     ProblemKind,
-    ThreeTermTransform,
     invert_three_term,
     partial_fraction_split,
     solve,
@@ -34,6 +32,8 @@ from mittag_kinetics.laplace import (
     MLGeneral,
     QuadratureConfig,
     ResidualProduct,
+    ThreeTermAlpha,
+    ThreeTermBeta,
     TwoRateProduct,
     lt_eval,
     lt_forward_numeric,
@@ -147,11 +147,9 @@ def test_transform_catalog_round_trips():
         # 256 outer terms reach the series tail gate
         a = min(rng.uniform(0.3, 2.0), 2.5 / 3.0**gap)
         b = rng.uniform(0.3, 3.0)
-        kind = rng.choice((NumeratorKind.ALPHA_MINUS_ONE, NumeratorKind.BETA_MINUS_ONE))
-        tt = ThreeTermTransform(alpha, beta, a, b, numerator_kind=kind)
-        return (tt.descriptor(),
-                lambda t: invert_three_term(tt, t, outer_terms=256),
-                None)
+        kind = rng.choice((ThreeTermAlpha, ThreeTermBeta))
+        d = kind(a=a, b=b, alpha=alpha, beta=beta)
+        return d, lambda t: invert_three_term(d, t, outer_terms=256), None
 
     families = (
         gamma_power,
@@ -224,15 +222,15 @@ def test_classical_limits_recover_exponential_and_oscillator():
         a = rng.uniform(0.2, 2.0)
         b = rng.uniform(a * a / 4.0 + 0.05, 4.0)
         om = math.sqrt(b - a * a / 4.0)
-        for kind in NumeratorKind:
-            tt = ThreeTermTransform(2.0, 1.0, a, b, numerator_kind=kind)
+        for kind in (ThreeTermAlpha, ThreeTermBeta):
+            d = kind(a=a, b=b, alpha=2.0, beta=1.0)
             for t in (0.1, 0.7, 1.6, 3.0):
                 env = math.exp(-0.5 * a * t)
-                if kind is NumeratorKind.ALPHA_MINUS_ONE:
+                if kind is ThreeTermAlpha:
                     want = env * (math.cos(om * t) - (0.5 * a / om) * math.sin(om * t))
                 else:
                     want = env * math.sin(om * t) / om
-                got = invert_three_term(tt, t, outer_terms=256)
+                got = invert_three_term(d, t, outer_terms=256)
                 ratio = max(ratio, abs(got - want) / 1e-6)
     _report(3, "classical limits recover exponential decay and the damped oscillator", ratio)
 

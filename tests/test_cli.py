@@ -145,6 +145,50 @@ class TestInversionTasks:
         want = math.exp(-0.39) * (math.cos(1.3 * om) - 0.3 / om * math.sin(1.3 * om))
         assert float(row.split(",")[1]) == pytest.approx(want, rel=1e-9)
 
+    def test_three_term_beta_numerator(self, tmp_path, capsys):
+        spec = {
+            "version": "1",
+            "parameters": {"alpha": 2.0, "beta": 1.0, "a": 0.6, "b": 4.0,
+                           "numerator": "beta-minus-one"},
+            "grid": {"start": 1.3, "stop": 1.3, "n": 1},
+        }
+        assert main(["invert-three-term", "--spec", write_spec(tmp_path, spec)]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1]
+        om = math.sqrt(4.0 - 0.09)
+        want = math.exp(-0.39) * math.sin(1.3 * om) / om
+        assert float(row.split(",")[1]) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("numerator", ["gamma-minus-one", ["beta-minus-one"], 1.0])
+    def test_three_term_unknown_numerator(self, tmp_path, capsys, numerator):
+        spec = {
+            "version": "1",
+            "parameters": {"alpha": 2.0, "beta": 1.0, "a": 0.6, "b": 4.0,
+                           "numerator": numerator},
+            "grid": {"start": 1.3, "stop": 1.3, "n": 1},
+        }
+        assert main(["invert-three-term", "--spec", write_spec(tmp_path, spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "spec"
+        assert "alpha-minus-one" in err["message"] and "beta-minus-one" in err["message"]
+
+    @pytest.mark.parametrize("numerator", ["alpha-minus-one", "beta-minus-one"])
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.5, 1.5), (1.5, -0.2)])
+    def test_three_term_order_refused(self, tmp_path, capsys, numerator, alpha, beta):
+        spec = {
+            "version": "1",
+            "parameters": {"alpha": alpha, "beta": beta, "a": 0.6, "b": 4.0,
+                           "numerator": numerator},
+            "grid": {"start": 1.3, "stop": 1.3, "n": 1},
+        }
+        assert main(["invert-three-term", "--spec", write_spec(tmp_path, spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert (err["type"], err["kind"]) == ("DomainError", "spec")
+        assert "alpha > beta >= 0" in err["message"]
+
     def test_three_term_divergence_is_numerical_failure(self, tmp_path, capsys):
         spec = {
             "version": "1",

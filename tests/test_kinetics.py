@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from mittag_kinetics.errors import DomainError, NonConvergence, PoleError, TieError
 from mittag_kinetics.kinetics import (
     KineticProblem,
-    NumeratorKind,
     ProblemKind,
     SeriesTerm,
     SolutionSeries,
-    ThreeTermTransform,
     invert_three_term,
     partial_fraction_split,
     solve,
@@ -257,65 +255,48 @@ class TestPartialFraction:
         assert rhs == pytest.approx(lhs, rel=tol, abs=1e-300)
 
 
-class TestThreeTermTransform:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            ThreeTermTransform(alpha=1.0, beta=1.5, a=1.0, b=1.0)
-        with pytest.raises(DomainError):
-            ThreeTermTransform(alpha=1.0, beta=-0.2, a=1.0, b=1.0)
-
-    def test_descriptor_bridge(self):
-        tt = ThreeTermTransform(alpha=1.6, beta=0.4, a=0.8, b=1.1)
-        assert isinstance(tt.descriptor(), ThreeTermAlpha)
-        tt4 = ThreeTermTransform(
-            alpha=1.6, beta=0.4, a=0.8, b=1.1, numerator_kind=NumeratorKind.BETA_MINUS_ONE
-        )
-        assert isinstance(tt4.descriptor(), ThreeTermBeta)
-
-
 class TestInvertThreeTerm:
     def test_two_term_reduction(self):
         # a = 0 leaves a single Mittag-Leffler term
-        tt = ThreeTermTransform(alpha=1.5, beta=0.5, a=0.0, b=1.2)
+        d = ThreeTermAlpha(a=0.0, b=1.2, alpha=1.5, beta=0.5)
         t = 1.4
         want = ml_eval(MLParams(nu=1.5), -1.2 * t**1.5)
-        assert invert_three_term(tt, t) == pytest.approx(want, rel=1e-13)
+        assert invert_three_term(d, t) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("t", GRID)
     def test_damped_oscillator(self, t):
         a, b = 0.6, 4.0
         om = math.sqrt(b - a * a / 4.0)
         damp = math.exp(-a * t / 2.0)
-        l3 = invert_three_term(ThreeTermTransform(2.0, 1.0, a, b), t)
+        l3 = invert_three_term(ThreeTermAlpha(a=a, b=b, alpha=2.0, beta=1.0), t)
         want3 = damp * (math.cos(om * t) - (a / 2.0) / om * math.sin(om * t))
         assert l3 == pytest.approx(want3, rel=1e-6, abs=1e-9)
-        l4 = invert_three_term(
-            ThreeTermTransform(2.0, 1.0, a, b, numerator_kind=NumeratorKind.BETA_MINUS_ONE), t
-        )
+        l4 = invert_three_term(ThreeTermBeta(a=a, b=b, alpha=2.0, beta=1.0), t)
         want4 = damp * math.sin(om * t) / om
         assert l4 == pytest.approx(want4, rel=1e-6, abs=1e-9)
 
-    @pytest.mark.parametrize("kind", list(NumeratorKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("kind", [ThreeTermAlpha, ThreeTermBeta],
+                             ids=["alpha-minus-one", "beta-minus-one"])
     @pytest.mark.parametrize("t", [0.3, 1.1, 2.6])
     def test_fractional_orders_match_inversion(self, kind, t):
-        tt = ThreeTermTransform(alpha=1.5, beta=0.5, a=0.8, b=1.2, numerator_kind=kind)
-        got = invert_three_term(tt, t)
-        want = lt_invert_numeric(tt.descriptor(), t)
+        d = kind(a=0.8, b=1.2, alpha=1.5, beta=0.5)
+        got = invert_three_term(d, t)
+        want = lt_invert_numeric(d, t)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
 
     def test_divergence_guard(self):
-        tt = ThreeTermTransform(alpha=2.0, beta=1.0, a=8.0, b=1.0)
+        d = ThreeTermAlpha(a=8.0, b=1.0, alpha=2.0, beta=1.0)
         with pytest.raises(DomainError):
-            invert_three_term(tt, 3.0)
+            invert_three_term(d, 3.0)
 
     def test_budget_exhaustion(self):
-        tt = ThreeTermTransform(alpha=1.5, beta=0.5, a=2.0, b=1.0)
+        d = ThreeTermAlpha(a=2.0, b=1.0, alpha=1.5, beta=0.5)
         with pytest.raises(NonConvergence):
-            invert_three_term(tt, 2.0, outer_terms=3)
+            invert_three_term(d, 2.0, outer_terms=3)
 
     def test_argument_validation(self):
-        tt = ThreeTermTransform(alpha=1.5, beta=0.5, a=0.5, b=1.0)
+        d = ThreeTermAlpha(a=0.5, b=1.0, alpha=1.5, beta=0.5)
         with pytest.raises(DomainError):
-            invert_three_term(tt, 0.0)
+            invert_three_term(d, 0.0)
         with pytest.raises(DomainError):
-            invert_three_term(tt, 1.0, outer_terms=0)
+            invert_three_term(d, 1.0, outer_terms=0)

@@ -69,6 +69,18 @@ class TestLtEval:
         with pytest.raises(DomainError):
             lt_eval(ThreeTermBeta(a=1.0, b=1.0, alpha=1.5, beta=0.5), -0.5)
 
+    def test_numpy_real_scalars_checked(self):
+        # numpy's real scalars are real p: the same region checks as float
+        with pytest.raises(DomainError):
+            lt_eval(GammaPower(alpha=1.0, beta=1.0), np.float32(-3))
+        with pytest.raises(DomainError):
+            lt_eval(LaplaceDensity(beta=1.0), np.int64(2))
+        with pytest.raises(DomainError):
+            lt_eval(MLBasic(c=1.0, nu=0.5), np.int64(-2))
+        d = MLBasic(c=1.0, nu=0.5)
+        for p in (np.float32(2.0), np.float64(2.0), np.int64(2), np.complex64(2.0)):
+            assert lt_eval(d, p) == lt_eval(d, 2.0)
+
     def test_catalog_kinds(self):
         # the CLI looks kinds up by class name; each kind has its own
         # value(), so counting calls to one never counts another's
@@ -97,6 +109,10 @@ class TestLtEval:
             ThreeTermAlpha(a=1.0, b=1.0, alpha=1.0, beta=1.5)
         with pytest.raises(DomainError):
             ThreeTermBeta(a=1.0, b=1.0, alpha=0.0, beta=0.0)
+        with pytest.raises(DomainError):
+            ThreeTermAlpha(a=1.0, b=1.0, alpha=1.0, beta=-0.2)
+        with pytest.raises(DomainError):
+            ThreeTermBeta(a=1.0, b=1.0, alpha=1.0, beta=-0.2)
         with pytest.raises(DomainError):
             ResidualProduct(plus=(), minus=())
 
