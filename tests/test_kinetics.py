@@ -255,6 +255,16 @@ class TestPartialFraction:
         assert rhs == pytest.approx(lhs, rel=tol, abs=1e-300)
 
 
+class TestThreeTermTransform:
+    def test_validation(self):
+        # the transforms invert_three_term takes need alpha > beta >= 0
+        for kind in (ThreeTermAlpha, ThreeTermBeta):
+            with pytest.raises(DomainError):
+                kind(alpha=1.0, beta=1.5, a=1.0, b=1.0)
+            with pytest.raises(DomainError):
+                kind(alpha=1.0, beta=-0.2, a=1.0, b=1.0)
+
+
 class TestInvertThreeTerm:
     def test_two_term_reduction(self):
         # a = 0 leaves a single Mittag-Leffler term
