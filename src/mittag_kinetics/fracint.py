@@ -68,11 +68,25 @@ def _cell_moments(x: np.ndarray, s: float, nu: float, t: float) -> np.ndarray:
     return t ** (s + nu - 1.0) * np.diff(vals)
 
 
+def _sample(f: Callable, u: np.ndarray) -> np.ndarray:
+    # one call on the whole mesh; a scalar-only f, or one whose result
+    # does not broadcast to the mesh, is called point by point
+    try:
+        return np.broadcast_to(np.asarray(f(u), dtype=float), u.shape)
+    except (TypeError, ValueError):
+        return np.asarray([f(ui) for ui in u], dtype=float)
+
+
 def rl_integral(f: Callable[[float], float], nu: float, t: float,
                 cfg: FracIntConfig = DEFAULT_FRACINT_CONFIG) -> float:
     """Riemann-Liouville integral of order nu of f over (0, t).
 
-    Order zero is the identity: the integral degenerates to f(t).
+    f is sampled on the whole mesh in one call, f(u) with u an ndarray
+    (a ``SolutionSeries`` evaluates it through the mesh evaluator of
+    ``special_functions``). If that call raises ``TypeError`` or
+    ``ValueError`` (``math.cos``, ``lambda u: math.exp(-u)``) or its
+    result does not broadcast to the mesh, f is called once per point
+    instead. Order zero is the identity: the integral degenerates to f(t).
     """
     if t <= 0.0:
         raise DomainError(f"upper limit must be positive, got {t}")
@@ -88,10 +102,10 @@ def rl_integral(f: Callable[[float], float], nu: float, t: float,
     x = (np.arange(n + 1) / n) ** cfg.grading
     u = t * x
     if rho == 0.0:
-        g = np.asarray([f(ui) for ui in u], dtype=float)
+        g = _sample(f, u)
     else:
         g = np.empty(n + 1)
-        g[1:] = [f(ui) * ui**-rho for ui in u[1:]]
+        g[1:] = _sample(f, u[1:]) * u[1:] ** -rho
         # continue the smooth factor to u=0 along its secant
         g[0] = g[1] - (g[2] - g[1]) * u[1] / (u[2] - u[1])
     if not np.all(np.isfinite(g)):

@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError, NonConvergence, PoleError, TieError
 from .laplace import (
     MLBasic,
@@ -40,7 +42,13 @@ from .laplace import (
     TransformDescriptor,
     TwoRateProduct,
 )
-from .special_functions import DEFAULT_SERIES_CONFIG, MLParams, SeriesConfig, ml_eval
+from .special_functions import (
+    DEFAULT_SERIES_CONFIG,
+    MLParams,
+    SeriesConfig,
+    _ml_eval_mesh,
+    ml_eval,
+)
 
 # Relative gap under which the two destruction rates are considered tied
 # and the squared-denominator branch is taken.
@@ -140,7 +148,21 @@ class SolutionSeries:
     terms: tuple[SeriesTerm, ...]
     notes: tuple[str, ...] = ()
 
-    def evaluate(self, t: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> float:
+    def evaluate(self, t: float | np.ndarray,
+                 cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> float | np.ndarray:
+        """N(t) at a time t >= 0, or at every time of an ndarray t.
+
+        A float is evaluated term by term through ``ml_eval``.  An ndarray
+        evaluates each term over all its positive times in one call of
+        the mesh evaluator ``special_functions._ml_eval_mesh``, which keeps
+        a float-series value only by the rule ``ml_eval`` keeps it by and
+        sends every other point through ``ml_eval``: values agree with the
+        float path to rounding (not bit for bit), errors are the same.
+        At t = 0 a term with a negative power raises ``DomainError``, one
+        with power 0 gives weight * E(0), any other 0.
+        """
+        if isinstance(t, np.ndarray):
+            return self._evaluate_mesh(t, cfg)
         if t < 0.0:
             raise DomainError(f"time must be nonnegative, got {t}")
         total = 0.0
@@ -155,7 +177,25 @@ class SolutionSeries:
             total += term.weight * t**term.power * ml_eval(term.ml, z, cfg)
         return total
 
-    def __call__(self, t: float) -> float:
+    def _evaluate_mesh(self, t: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        if (t < 0.0).any():
+            raise DomainError(f"time must be nonnegative, got {t.min()}")
+        at_zero = t == 0.0
+        positive = ~at_zero
+        tp = t[positive]
+        total = np.zeros(t.shape)
+        for term in self.terms:
+            if at_zero.any():
+                if term.power < 0.0:
+                    raise DomainError("series diverges at t=0, evaluate at t > 0")
+                if term.power == 0.0:
+                    total[at_zero] += term.weight * ml_eval(term.ml, 0.0, cfg)
+            z = -term.rate * tp**term.ml.nu
+            total[positive] += term.weight * tp**term.power * _ml_eval_mesh(term.ml, z, cfg)
+        return total
+
+    def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
         return self.evaluate(t)
 
 

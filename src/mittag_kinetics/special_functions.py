@@ -45,15 +45,18 @@ would overflow), evaluates in four stages:
    in double precision, about 1e-13 relative (4.4e-12 at worst in seeded
    sweeps against the mpmath series, gamma = 3 at z = -50 where E is near
    1e-5 and the contour's 1e-15 target is absolute).  Route A: z < 0 with
-   0 < nu < 1 and gamma > 0 (no pole on the principal sheet, only the
-   branch point at 0).  Route B: gamma = 1 with 0 < nu < 2 and either
+   0 < nu < 1 and 0 < gamma <= 3 (no pole on the principal sheet, only
+   the branch point at 0; a larger gamma leaves the absolute target far
+   above E).  Route B: gamma = 1 with 0 < nu < 2 and either
    sign of z (simple poles, whose residues are added when they lie to
    the right of the contour).  A contour value is kept only if the
    parameter search met a tolerance of 1e-13 or better within 200 nodes
    a side and its rounding estimate stays within 1e-13 of the result.
    A double sum that fails this guard, mostly one near a zero of E, is
    redone in numpy's extended long double where that is wider (x86:
-   64-bit mantissa, target 1e-18, the same guard with its epsilon);
+   64-bit mantissa, target 1e-18, the same guard with its epsilon).
+   A double sum whose node terms pass float range (inf/inf at large
+   gamma) gives the value up to the next stage;
 3. for integer nu = n <= 4, the generalized hypergeometric series
    1F_n(gamma; mu/n, .., (mu+n-1)/n; z/n^n) / Gamma(mu) that Gauss's
    multiplication formula makes of the series, summed by mpmath's
@@ -70,6 +73,14 @@ would overflow), evaluates in four stages:
 
 ``wright_eval`` uses the same mpmath rerun.  A value beyond float range
 is refused with ``DomainError`` rather than returned as ``inf``.
+
+``_ml_eval_mesh`` evaluates one parameter triple over an ndarray of z
+(the residual quadrature's mesh, through ``kinetics.SolutionSeries``):
+stage 1 for every point at once, with one pass over the z-free part of
+the term logs per block of k, the same stopping rule and the same
+acceptance rule as the float path (``_float_sum_kept``, which both
+call); every point that rule does not keep goes through ``ml_eval`` one
+by one, so stages 2-4 and every error are the scalar path's.
 """
 
 from __future__ import annotations
@@ -160,10 +171,22 @@ _CONTOUR_PRECISIONS = ((np.float64, (1e-15, 1e-14, 1e-13)),) + (
 )
 _CONTOUR_MAX_NODES = 200
 
+#: Largest gamma route A takes.  Its 1e-15 target is absolute, and E
+#: falls ever further below the integrand on the contour as gamma grows,
+#: while the rounding guard only bounds rounding: the worst relative
+#: error in seeded sweeps against the mpmath series is 4.4e-12 up to
+#: gamma = 3, 3.5e-11 at gamma = 4 and 1e-5 at gamma = 10; at gamma = 64
+#: accepted values were off by orders of magnitude.
+_CONTOUR_MAX_GAMMA = 3.0
+
 #: Largest accepted rounding estimate eps * h * sum|S_k| / (2 pi |E|) of
 #: a contour value, eps that of the precision summed in; beyond it the
 #: value has lost its relative accuracy (near a zero of E).
 _CONTOUR_ROUNDING_MAX = 1e-13
+
+#: Values of k per block of the mesh evaluator, which holds the terms of
+#: this many k at every point at once (never max_terms of them).
+_MESH_BLOCK = 32
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _EPS = sys.float_info.epsilon
@@ -382,7 +405,7 @@ def ml_eval(params: MLParams, z: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFI
     summed by ``_sum_series``.  If the peak term magnitude dwarfs
     the final sum -- the cancellation regime of strongly negative z --
     or a term would overflow, the value comes from Garrappa's parabolic
-    contour in double precision (z < 0 with 0 < nu < 1 and gamma > 0, or
+    contour in double precision (z < 0 with 0 < nu < 1 and 0 < gamma <= 3, or
     gamma = 1 with 0 < nu < 2; about 1e-13 relative) when that passes
     its accuracy guard in double or, failing that, in extended precision;
     then, for integer nu <= 4, from mpmath's generalized hypergeometric
@@ -404,17 +427,10 @@ def ml_eval(params: MLParams, z: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFI
         return 1.0 / math.gamma(params.mu) if params.mu < 170 else math.exp(-math.lgamma(params.mu))
 
     what = "Mittag-Leffler series"
-    n = int(params.nu)
-    order = n if n == params.nu and n <= _HYPER_MAX_ORDER else 0
+    order = _hyper_order(params)
     total, peak, _ = _sum_series(_ml_terms(params, z), cfg, what)
-    if total is not None:
-        if order:
-            log_slack = _FLOAT_LOG_SLACK + 3.0 * abs(math.log(max(peak, _ABS_FLOOR)))
-            accept = peak * _EPS * log_slack <= _FLOAT_REL_ERR * abs(total)
-        else:
-            accept = peak <= _MP_FALLBACK_RATIO * max(abs(total), _ABS_FLOOR)
-        if accept:
-            return total
+    if total is not None and _float_sum_kept(order, total, peak):
+        return total
     value = _ml_contour(params, z)
     if value is None and order:
         value = _ml_hyper(params, z, order)
@@ -448,6 +464,153 @@ def _ml_terms(params: MLParams, z: float) -> Iterator[tuple[float, float]]:
         if g < 0:
             sign_front = -sign_front
         sign_front *= sign_z
+
+
+def _hyper_order(params: MLParams) -> int:
+    """nu when it is an integer order the hypergeometric stage takes, else 0."""
+    n = int(params.nu)
+    return n if n == params.nu and n <= _HYPER_MAX_ORDER else 0
+
+
+def _float_sum_kept(order: int, total, peak):
+    """Whether stage 1 keeps a float sum ``total`` whose largest term has
+    magnitude ``peak`` (floats, or arrays of them and then a mask): by its
+    construction error for an integer ``order`` from ``_hyper_order``, else
+    by the peak/|sum| ratio (see ``_FLOAT_LOG_SLACK``)."""
+    if order:
+        if isinstance(peak, np.ndarray):
+            log_peak = np.log(np.maximum(peak, _ABS_FLOOR))
+        else:
+            log_peak = math.log(max(peak, _ABS_FLOOR))
+        return peak * _EPS * (_FLOAT_LOG_SLACK + 3.0 * abs(log_peak)) <= _FLOAT_REL_ERR * abs(total)
+    return (peak <= _MP_FALLBACK_RATIO * abs(total)) | (peak <= _MP_FALLBACK_RATIO * _ABS_FLOOR)
+
+
+def _ml_eval_mesh(
+    params: MLParams, z: np.ndarray, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG
+) -> np.ndarray:
+    """``ml_eval`` at every point of the ndarray z, with the float series
+    of stage 1 summed for the whole mesh at once (``_ml_mesh_sums``).
+
+    A point's sum is kept by ``_float_sum_kept``, the rule ``ml_eval``
+    keeps it by.  Every other point -- z = 0, NaN or beyond
+    ``cfg.max_abs_z``, a sum refused, overflowing or unfinished -- goes
+    through ``ml_eval`` one by one, which gives its value or raises its
+    error.
+    """
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    out = np.empty(flat.shape)
+    done = np.zeros(flat.shape, dtype=bool)
+    live = np.flatnonzero((np.abs(flat) <= cfg.max_abs_z) & (flat != 0.0))
+    if live.size:
+        kept, totals = _ml_mesh_sums(params, flat[live], cfg)
+        out[live[kept]] = totals[kept]
+        done[live[kept]] = True
+    for i in np.flatnonzero(~done):
+        out[i] = ml_eval(params, float(flat[i]), cfg)
+    return out.reshape(z.shape)
+
+
+def _ml_mesh_sums(params: MLParams, z: np.ndarray, cfg: SeriesConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, total) of the float Mittag-Leffler series at every point of
+    a 1-D array of finite z != 0.
+
+    Per block of ``_MESH_BLOCK`` values of k the z-free part of the term
+    logs, log|(gamma)_k / k!| - lgamma(mu + k nu), is built once with its
+    sign, ending where the Pochhammer factor does, and the terms of every
+    point come from one outer operation with k log|z|.  Each point is
+    summed with Kahan compensation and stops as ``_sum_series`` stops it:
+    three terms in a row below ``rel_tol`` times its sum, or a term below
+    ``_ABS_FLOOR`` on the decaying tail.  A point whose term passes
+    ``_LOG_OVERFLOW`` first, or that is still running when ``max_terms``
+    terms are spent, is not kept; nor is a finished sum that
+    ``_float_sum_kept`` refuses.
+    """
+    nu, mu, gam = params.nu, params.mu, params.gamma
+    n_terms = int(1.0 - gam) if gam < 0 and gam == int(gam) else math.inf
+    rows = min(cfg.max_terms, n_terms)
+    m = z.size
+    log_abs_z = np.array([math.log(abs(x)) for x in z.tolist()])
+    negative = z < 0.0
+    finished = np.zeros(m, dtype=bool)
+    result = np.zeros(m)
+    result_peak = np.zeros(m)
+
+    # state of the points still summing, ``act``
+    act = np.arange(m)
+    total, comp, peak = np.zeros(m), np.zeros(m), np.zeros(m)
+    prev = np.full(m, -np.inf)  # magnitude of the term before (none at k = 0)
+    small_before = np.zeros((2, m), dtype=bool)  # the two terms before were small
+    lgamma, log = math.lgamma, math.log
+    log_poch, sign = 0.0, 1.0
+    for k0 in range(0, rows, _MESH_BLOCK):
+        # the parts of the term logs _ml_terms builds, with its arithmetic
+        ks = range(k0, min(k0 + _MESH_BLOCK, rows))
+        pochs, gammas, fronts = [], [], []
+        for k in ks:
+            pochs.append(log_poch)
+            gammas.append(lgamma(mu + k * nu))
+            fronts.append(sign)
+            g = gam + k
+            if g == 0.0:
+                break  # the last term: the series terminated exactly
+            if gam != 1.0:
+                log_poch += log(abs(g)) - log(k + 1.0)
+            if g < 0:
+                sign = -sign
+        front = np.array(fronts)
+        alternating = front.copy()
+        alternating[(k0 + 1) % 2::2] *= -1.0
+        signs = np.where(negative[act], alternating[:, None], front[:, None])
+        log_mag = np.arange(k0, k0 + len(ks), dtype=float)[:, None] * log_abs_z[act]
+        log_mag += np.array(pochs)[:, None]
+        log_mag -= np.array(gammas)[:, None]
+        overflow = log_mag.max() > _LOG_OVERFLOW
+        if overflow:
+            over = log_mag > _LOG_OVERFLOW
+            np.minimum(log_mag, _LOG_OVERFLOW, out=log_mag)
+        mag = np.exp(log_mag)
+        terms = mag * signs
+
+        totals = np.empty_like(terms)
+        y = np.empty(act.size)
+        for r in range(len(ks)):
+            np.subtract(terms[r], comp, out=y)
+            running = totals[r]
+            np.add(total, y, out=running)
+            np.subtract(running, total, out=comp)
+            comp -= y
+            total = running
+
+        small = np.concatenate((small_before, mag < cfg.rel_tol * np.abs(totals)))
+        stop = small[2:] & small[1:-1] & small[:-2]
+        if mag.min() < _ABS_FLOOR:
+            before = np.concatenate((prev[None, :], mag[:-1]))
+            stop |= (mag < _ABS_FLOOR) & (mag <= before)
+        if overflow:
+            stop |= over
+        hit = stop.any(axis=0)
+        cols = np.flatnonzero(hit)
+        if cols.size:
+            at = stop[:, cols].argmax(axis=0)
+            idx = act[cols]
+            reach = np.maximum.accumulate(mag[:, cols], axis=0)[at, np.arange(cols.size)]
+            result[idx] = totals[at, cols]
+            result_peak[idx] = np.maximum(peak[cols], reach)
+            finished[idx] = ~over[at, cols] if overflow else True
+        go_on = ~hit
+        act = act[go_on]
+        if not act.size:
+            break
+        total, comp = totals[-1, go_on], comp[go_on]
+        peak = np.maximum(peak[go_on], mag[:, go_on].max(axis=0))
+        prev, small_before = mag[-1, go_on], small[-2:, go_on]
+    else:  # the budget ran out, or the terms did: an exact end
+        if n_terms < cfg.max_terms:
+            result[act], result_peak[act], finished[act] = total, peak, True
+    kept = finished & _float_sum_kept(_hyper_order(params), result, result_peak)
+    return kept, result
 
 
 def _ml_terms_mp(params: MLParams, z: float) -> Iterator[mp.mpf]:
@@ -563,12 +726,13 @@ def _ml_contour(params: MLParams, z: float) -> float | None:
     the poles of the principal sheet, ordered by ``_phi``) the one needing
     the fewest nodes carries the contour; the poles to its right add their
     residues.  The sum is tried in each of ``_CONTOUR_PRECISIONS`` in turn.
-    Returns None outside routes A and B (see the module docstring) or when
-    the value fails its accuracy guard in every precision; raises
-    ``DomainError`` when the value exceeds float range.
+    Returns None outside routes A and B (see the module docstring), when
+    the double sum is not finite, or when the value fails its accuracy
+    guard in every precision; raises ``DomainError`` when a residue
+    exceeds float range.
     """
     nu, mu, gam = params.nu, params.mu, params.gamma
-    if not ((z < 0 and nu < 1 and gam > 0) or (gam == 1 and nu < 2)):
+    if not ((z < 0 and nu < 1 and 0 < gam <= _CONTOUR_MAX_GAMMA) or (gam == 1 and nu < 2)):
         return None
     # route A has no pole on the principal sheet; route B has simple ones
     theta = math.pi if z < 0 else 0.0
@@ -596,8 +760,12 @@ def _ml_contour(params: MLParams, z: float) -> float | None:
                 raise _beyond_float_range(params, z)
         value, rounding = _contour_sum(params, z, [k for k, _ in poles[region:]],
                                        scale, h, n, real)
+        # node terms past float range (inf/inf where s^(nu gamma - mu) and
+        # (s^nu - z)^gamma overflow apart) say nothing of the value, and
+        # the long double's wider range gave wrong ones there (-8.2e-21 for
+        # E[0.88, 22.5, 226](-1.32) = -6.0e-31): the next stage decides
         if not math.isfinite(value):
-            raise _beyond_float_range(params, z)
+            return None
         if rounding <= _CONTOUR_ROUNDING_MAX * abs(value):
             return value
     return None
@@ -640,7 +808,8 @@ def _contour_sum(
     u = h * np.arange(n + 1, dtype=real)
     s = scale * (1 + 1j * u) ** 2
     ds = 2 * scale * (1j - u)
-    terms = np.exp(s) * s ** (nu * gam - mu) / (s**nu - zz) ** gam * ds
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(s) * s ** (nu * gam - mu) / (s**nu - zz) ** gam * ds
     # the nodes at -u are mirror images: S(-u) = -conj(S(u))
     pi = np.arccos(real(-1))
     value = real(h) / (2 * pi) * (terms[0].imag + 2 * terms[1:].imag.sum())
@@ -845,10 +1014,13 @@ def hyp1f1(
 
     For x < 0 the series alternates and cancels; Kummer's transformation
     1F1(g; b; x) = e^x 1F1(b - g; b; -x) sums the non-alternating one instead.
+    A NaN or infinite x raises ``DomainError``.
     """
     if _near_nonpositive_int(beta1):
         raise DomainError(f"beta1 must not be a non-positive integer, got {beta1}")
     x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"1F1 argument must be finite, got {x}")
     if x < 0:
         return math.exp(x) * hyp1f1(beta1 - gamma1, beta1, -x, cfg)
     total, _, _ = _sum_series(_hyp1f1_terms(gamma1, beta1, x), cfg, "1F1 series")

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +121,70 @@ class TestRlIntegral:
         lhs = rl_integral(combo, 0.7, 1.4)
         rhs = a * rl_integral(f, 0.7, 1.4) + b * rl_integral(g, 0.7, 1.4)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def _mesh_cases():
+    problems = [
+        KineticProblem(ProblemKind.BASIC, n0=1.0, c=1.3, nu=0.55),
+        KineticProblem(ProblemKind.POWER_SOURCE, n0=1.0, c=1.2, nu=0.7, mu=0.55),
+        KineticProblem(ProblemKind.POWER_SOURCE, n0=1.0, c=1.2, nu=0.7, mu=1.55),
+        KineticProblem(ProblemKind.ML_GAMMA_SOURCE, n0=0.8, c=1.5, nu=0.6, mu=0.7, gamma=0.7),
+        KineticProblem(ProblemKind.ML_GAMMA_SOURCE, n0=0.8, c=1.5, nu=1.6, mu=1.7, gamma=1.0),
+        KineticProblem(ProblemKind.ML_SOURCE, n0=1.0, c=1.2, nu=1.3, mu=1.4),
+        KineticProblem(ProblemKind.TWO_RATE, n0=1.0, c=2.0, nu=0.8, mu=1.6, d=1.0),
+        KineticProblem(ProblemKind.TWO_RATE, n0=1.0, c=2.0, nu=0.8, mu=2.3, d=1.0),
+    ]
+    cases = []
+    for problem in problems:
+        power = min(term.power for term in solve(problem).terms)
+        configs = {"declared-power": FracIntConfig(singular_power=power, grading=2.0)}
+        if power >= 0.0:  # else the solution diverges at the mesh point u = 0
+            configs.update(uniform=FracIntConfig(), graded=FracIntConfig(grading=2.5))
+        for name, cfg in configs.items():
+            cases.append(pytest.param(problem, cfg, id=f"{problem.kind.value}-mu{problem.mu}-{name}"))
+    return cases
+
+
+class TestMeshSampling:
+    """rl_integral calls f once with the whole mesh when f takes arrays."""
+
+    @pytest.mark.parametrize("problem,cfg", _mesh_cases())
+    def test_series_matches_pointwise(self, problem, cfg):
+        sol = solve(problem)
+        calls = []
+
+        def counted(u):
+            calls.append(np.size(u))
+            return sol(u)
+
+        for t in (0.4, 2.2):
+            calls.clear()
+            got = rl_integral(counted, problem.nu, t, cfg)
+            assert len(calls) == 1 and calls[0] > 1
+            pointwise = rl_integral(lambda u: sol(float(u)), problem.nu, t, cfg)
+            assert got == pytest.approx(pointwise, rel=1e-13, abs=0)
+
+    def test_scalar_only_callables_sampled_pointwise(self):
+        calls = []
+
+        def scalar_only(u):
+            calls.append(u)
+            return math.exp(-u)
+
+        got = rl_integral(scalar_only, 0.6, 1.5)
+        # one refused array call, then one call per mesh point
+        assert len(calls) == 1 + 513
+        assert got == pytest.approx(rl_integral(lambda u: np.exp(-u), 0.6, 1.5), rel=1e-15)
+
+    def test_result_that_does_not_broadcast(self):
+        # an f that answers an array with something of another shape
+        # is sampled point by point
+        f = lambda u: np.array([1.0, 2.0]) if np.ndim(u) else 1.0
+        assert rl_integral(f, 0.6, 2.0) == pytest.approx(rl_integral(lambda u: 1.0, 0.6, 2.0))
+
+    def test_constant_result_broadcasts(self):
+        assert rl_integral(lambda u: 2.0, 0.6, 2.0) == pytest.approx(
+            2.0 * 2.0**0.6 / math.gamma(1.6), rel=1e-13)
 
 
 class TestResidualCheck:

@@ -2,7 +2,9 @@
 
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -116,6 +118,47 @@ class TestSolutionSeries:
         singular = solve(KineticProblem(ProblemKind.POWER_SOURCE, n0=1.0, c=1.0, nu=0.5, mu=0.5))
         with pytest.raises(DomainError):
             singular.evaluate(0.0)
+
+    def test_array_matches_float_path(self):
+        problems = [
+            KineticProblem(ProblemKind.BASIC, n0=1.0, c=1.3, nu=0.55),
+            KineticProblem(ProblemKind.POWER_SOURCE, n0=1.0, c=1.2, nu=0.7, mu=0.55),
+            KineticProblem(ProblemKind.ML_GAMMA_SOURCE, n0=0.8, c=1.5, nu=1.4, mu=0.7, gamma=0.7),
+            KineticProblem(ProblemKind.ML_SOURCE, n0=1.0, c=1.2, nu=0.7, mu=1.4),
+            KineticProblem(ProblemKind.TWO_RATE, n0=1.0, c=2.0, nu=0.8, mu=1.6, d=1.0),
+        ]
+        t = np.linspace(0.05, 3.0, 40)
+        for problem in problems:
+            sol = solve(problem)
+            got = sol(t)
+            assert isinstance(got, np.ndarray) and got.shape == t.shape
+            for ti, g in zip(t, got):
+                assert g == pytest.approx(sol(float(ti)), rel=5e-13, abs=1e-300), (problem, ti)
+
+    def test_float_path_unchanged(self):
+        # a float still sums weight * t^power * E(z) term by term in ml_eval
+        problem = KineticProblem(ProblemKind.TWO_RATE, n0=1.0, c=2.0, nu=0.8, mu=1.6, d=1.0)
+        sol = solve(problem)
+        for t in (0.3, 1.7):
+            want = 0.0
+            for term in sol.terms:
+                want += term.weight * t**term.power * ml_eval(term.ml, -term.rate * t**term.ml.nu)
+            assert sol(t) == want
+
+    def test_array_time_zero(self):
+        t = np.array([0.0, 0.5, 0.0, 1.5])
+        basic = solve(KineticProblem(ProblemKind.BASIC, n0=2.5, c=1.0, nu=0.5))
+        got = basic(t)
+        assert got[0] == got[2] == basic.evaluate(0.0) == pytest.approx(2.5)
+        assert got[1] == pytest.approx(basic(0.5), rel=5e-13)
+        # power mu - 1 > 0 vanishes at t = 0, a negative power diverges
+        smooth = solve(KineticProblem(ProblemKind.POWER_SOURCE, n0=1.0, c=1.0, nu=0.5, mu=1.5))
+        assert smooth(t)[0] == smooth.evaluate(0.0) == 0.0
+        singular = solve(KineticProblem(ProblemKind.POWER_SOURCE, n0=1.0, c=1.0, nu=0.5, mu=0.5))
+        with pytest.raises(DomainError):
+            singular(t)
+        with pytest.raises(DomainError):
+            basic(np.array([0.5, -1.0]))
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.7])
     def test_classical_limit(self, c):
@@ -293,6 +336,19 @@ class TestInvertThreeTerm:
         got = invert_three_term(d, t)
         want = lt_invert_numeric(d, t)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
+
+    def test_large_gamma_outer_terms(self):
+        # outer terms r = 7-255 need E^(r+1) at z = -1.3; the contour once
+        # took them off by up to orders of magnitude (route A at gamma > 3)
+        # and at r = 225 read a node overflow as a value beyond float range.
+        # Expected: the 256 outer terms summed with the mpmath series
+        # oracle of test_special_functions for every E^(r+1)
+        d = ThreeTermBeta(a=-1.299879365075482, b=2.1457216064980913,
+                          alpha=0.8784989591882667, beta=0.7833623104123376)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = invert_three_term(d, 0.5741687900124413, outer_terms=256)
+        assert got == pytest.approx(0.11722915907284154, rel=1e-11)
 
     def test_divergence_guard(self):
         d = ThreeTermAlpha(a=8.0, b=1.0, alpha=2.0, beta=1.0)

@@ -7,11 +7,13 @@ direct summation of the defining series and frozen here.
 import itertools
 import math
 import time
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
+from scipy.optimize import brentq
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -438,6 +440,137 @@ class TestMLContour:
         assert ml_eval(params, z) == pytest.approx(expected, rel=1e-14, abs=0)
 
 
+    def test_node_overflow_falls_through(self, monkeypatch):
+        # at gamma = 226 the node terms s^(nu gamma - mu) and
+        # (s^nu - z)^gamma overflow separately and inf/inf gives nan: that
+        # is no overflow of E, which is -6.0e-31 (peak term 5e-15), and the
+        # next stage must take it without a numpy warning; route A no
+        # longer takes gamma = 226, so the guard is reached by widening it
+        nu, mu, gamma, z = 0.8784989591882667, 22.50088262335997, 226.0, -1.3179225772187249
+        params = MLParams(nu=nu, mu=mu, gamma=gamma)
+        expected = _ml_series_oracle(nu, mu, gamma, z)
+        assert expected == pytest.approx(-6.0113e-31, rel=1e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ml_eval(params, z) == pytest.approx(expected, rel=1e-12, abs=0)
+            monkeypatch.setattr(special_functions, "_CONTOUR_MAX_GAMMA", math.inf)
+            assert special_functions._ml_contour(params, z) is None
+            assert ml_eval(params, z) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("nu,mu,gamma,z", [
+        (0.928, 26.2, 4.0, -4.48),
+        # the double sum was accepted at 8e10 times E
+        (0.928, 26.2, 64.0, -4.48),
+        # returned 0.26921843091661174 for -9.90319236669593e-13
+        (0.9809302337245526, 1.9521975476327205, 54.0, -34.969351048195044),
+        # off by 3.2e-4 relative
+        (0.772356810098088, 1.6598706558762495, 27.0, -20.21146568068837),
+    ])
+    def test_large_gamma_not_routed(self, nu, mu, gamma, z):
+        # route A's absolute target lies far above E once gamma passes 3
+        params = MLParams(nu=nu, mu=mu, gamma=gamma)
+        assert special_functions._ml_contour(params, z) is None
+        expected = _ml_series_oracle(nu, mu, gamma, z)
+        assert ml_eval(params, z) == pytest.approx(expected, rel=1e-12, abs=0)
+
+class TestMLMesh:
+    """The mesh evaluator, held against the mpmath series oracle point by
+    point, and against scalar ml_eval where the two paths differ only by
+    rounding."""
+
+    ORACLE_REL = 2e-12
+    SCALAR_REL = 5e-13
+
+    @staticmethod
+    def _count_scalar_calls(monkeypatch) -> list:
+        calls = []
+        scalar = special_functions.ml_eval
+
+        def counting(params, z, *args):
+            calls.append(z)
+            return scalar(params, z, *args)
+
+        monkeypatch.setattr(special_functions, "ml_eval", counting)
+        return calls
+
+    def _check(self, params, z, expected):
+        got = special_functions._ml_eval_mesh(params, z)
+        assert got.shape == z.shape
+        for x, g, want in zip(z, got, expected):
+            assert g == pytest.approx(want, rel=self.ORACLE_REL, abs=0), (params, x)
+            assert g == pytest.approx(ml_eval(params, float(x)), rel=self.SCALAR_REL, abs=0), \
+                (params, x)
+
+    def test_seeded_sweep_against_series_oracle(self, monkeypatch):
+        rng = np.random.default_rng(20261019)
+        orders = [*rng.uniform(0.45, 1.8, 10), 1.0, 2.0, 1.0, 2.0]
+        calls = self._count_scalar_calls(monkeypatch)
+        points = 0
+        for i, nu in enumerate(orders):
+            mu = rng.uniform(0.3, 3.0)
+            gamma = (1.0, 2.0, rng.uniform(0.3, 3.0))[i % 3]
+            # a residual-check mesh, -rate u^nu on a graded u, and both signs
+            u = 2.5 * (np.arange(1, 25) / 24.0) ** 2
+            z = np.concatenate((-rng.uniform(0.3, 2.0) * u**nu, rng.uniform(-5.0, 5.0, 8)))
+            expected = [_ml_series_oracle(nu, mu, gamma, x) for x in z]
+            self._check(MLParams(nu=nu, mu=mu, gamma=gamma), z, expected)
+            points += z.size
+        # the sweep must exercise the mesh sums, not only the scalar path
+        assert len(calls) < 0.1 * points
+
+    @pytest.mark.parametrize("nu,mu", [(2.0, 1.0), (1.8, 1.0), (1.6, 1.3)])
+    def test_near_a_zero_falls_back(self, monkeypatch, nu, mu):
+        # E changes sign on the negative axis; next to the zero the float
+        # sum cancels past the keep rule and the scalar path takes over
+        params = MLParams(nu=nu, mu=mu)
+        x = np.linspace(-6.0, -0.5, 56)
+        values = [ml_eval(params, float(v)) for v in x]
+        j = next(i for i in range(len(x) - 1) if values[i] * values[i + 1] < 0)
+        z0 = brentq(lambda v: ml_eval(params, v), x[j], x[j + 1], xtol=1e-15)
+        z = z0 + np.linspace(-0.3, 0.3, 25)
+        expected = [_ml_series_oracle(nu, mu, 1.0, v) for v in z]
+        calls = self._count_scalar_calls(monkeypatch)
+        self._check(params, z, expected)
+        assert 0 < len(calls) < z.size
+
+    def test_terminating_pochhammer(self):
+        # gamma = -2: E = 1/Gamma(mu) - 2 z/Gamma(mu + nu) + z^2/Gamma(mu + 2 nu)
+        nu, mu = 0.7, 1.3
+        z = np.linspace(-50.0, 50.0, 41)
+        with mp.workdps(40):
+            expected = [float(mp.rgamma(mu) - 2 * mp.mpf(v) * mp.rgamma(mu + nu)
+                              + mp.mpf(v) ** 2 * mp.rgamma(mu + 2 * nu)) for v in z]
+        self._check(MLParams(nu=nu, mu=mu, gamma=-2.0), z, expected)
+
+    def test_mesh_with_zero(self):
+        params = MLParams(nu=0.8, mu=1.7, gamma=1.5)
+        z = -1.2 * np.linspace(0.0, 2.0, 9) ** 0.8
+        got = special_functions._ml_eval_mesh(params, z)
+        assert got[0] == ml_eval(params, 0.0) == 1.0 / math.gamma(1.7)
+        expected = [_ml_series_oracle(0.8, 1.7, 1.5, x) for x in z[1:]]
+        assert got[1:] == pytest.approx(expected, rel=self.ORACLE_REL, abs=0)
+
+    @pytest.mark.parametrize("bad", [-60.0, math.nan])
+    def test_refusals_match_scalar(self, bad):
+        params = MLParams(nu=0.6)
+        with pytest.raises(DomainError):
+            ml_eval(params, bad)
+        with pytest.raises(DomainError):
+            special_functions._ml_eval_mesh(params, np.array([-1.0, bad, -2.0]))
+
+    def test_budget_and_overflow_match_scalar(self):
+        with pytest.raises(NonConvergence):
+            ml_eval(MLParams(nu=0.6), -2.0, SeriesConfig(max_terms=5))
+        with pytest.raises(NonConvergence):
+            special_functions._ml_eval_mesh(MLParams(nu=0.6), np.array([-0.1, -2.0]),
+                                            SeriesConfig(max_terms=5))
+        # e^(50^(1/0.3)) is beyond float range
+        with pytest.raises(DomainError):
+            ml_eval(MLParams(nu=0.3), 50.0)
+        with pytest.raises(DomainError):
+            special_functions._ml_eval_mesh(MLParams(nu=0.3), np.array([1.0, 50.0]))
+
+
 class TestMPRerun:
     """The mpmath rerun on the inputs only it serves, held against the
     mpmath series oracle and, for Wright, a closed form in mpmath."""
@@ -684,6 +817,13 @@ class TestHyp1f1:
         # the alternating series cancels through e^|x|; Kummer's
         # transformation must keep full relative accuracy
         assert hyp1f1(1.5, 2.5, x) == pytest.approx(float(mp.hyp1f1(1.5, 2.5, x)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_refused(self, x):
+        # as in ml_eval and wright_eval: refused at once, not left to the
+        # term recurrence to report an overflow
+        with pytest.raises(DomainError):
+            hyp1f1(1.0, 2.0, x)
 
     def test_beta_pole_rejected(self):
         with pytest.raises(DomainError):
