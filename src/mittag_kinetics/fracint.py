@@ -17,6 +17,7 @@ the exact solution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -48,14 +49,14 @@ class FracIntConfig:
     grading: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.h is not None and self.h <= 0.0:
-            raise DomainError(f"step h must be positive, got {self.h}")
-        if self.singular_power <= -1.0:
+        if self.h is not None and not 0.0 < self.h < math.inf:
+            raise DomainError(f"step h must be positive and finite, got {self.h}")
+        if not -1.0 < self.singular_power < math.inf:
             raise DomainError(
-                f"singular power must be integrable, got {self.singular_power}"
+                f"singular power must be integrable and finite, got {self.singular_power}"
             )
-        if self.grading < 1.0:
-            raise DomainError(f"grading must be at least 1, got {self.grading}")
+        if not 1.0 <= self.grading < math.inf:
+            raise DomainError(f"grading must be finite and at least 1, got {self.grading}")
 
 
 DEFAULT_FRACINT_CONFIG = FracIntConfig()
@@ -88,10 +89,10 @@ def rl_integral(f: Callable[[float], float], nu: float, t: float,
     result does not broadcast to the mesh, f is called once per point
     instead. Order zero is the identity: the integral degenerates to f(t).
     """
-    if t <= 0.0:
-        raise DomainError(f"upper limit must be positive, got {t}")
-    if nu < 0.0:
-        raise DomainError(f"order must be nonnegative, got {nu}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"upper limit must be positive and finite, got {t}")
+    if not 0.0 <= nu < math.inf:
+        raise DomainError(f"order must be nonnegative and finite, got {nu}")
     if nu == 0.0:
         return float(f(t))
     if cfg.h is None:

@@ -163,6 +163,9 @@ class SolutionSeries:
         """
         if isinstance(t, np.ndarray):
             return self._evaluate_mesh(t, cfg)
+        return self._evaluate_float(t, cfg)
+
+    def _evaluate_float(self, t: float, cfg: SeriesConfig) -> float:
         if t < 0.0:
             raise DomainError(f"time must be nonnegative, got {t}")
         total = 0.0
@@ -182,15 +185,12 @@ class SolutionSeries:
         if (t < 0.0).any():
             raise DomainError(f"time must be nonnegative, got {t.min()}")
         at_zero = t == 0.0
+        total = np.zeros(t.shape)
+        if at_zero.any():
+            total[at_zero] = self._evaluate_float(0.0, cfg)
         positive = ~at_zero
         tp = t[positive]
-        total = np.zeros(t.shape)
         for term in self.terms:
-            if at_zero.any():
-                if term.power < 0.0:
-                    raise DomainError("series diverges at t=0, evaluate at t > 0")
-                if term.power == 0.0:
-                    total[at_zero] += term.weight * ml_eval(term.ml, 0.0, cfg)
             z = -term.rate * tp**term.ml.nu
             total[positive] += term.weight * tp**term.power * _ml_eval_mesh(term.ml, z, cfg)
         return total

@@ -590,8 +590,8 @@ def lt_invert_numeric(
     residue the two sums would miss alike.  When the mpmath contours miss
     one, InversionFailure is raised.
     """
-    if not t > 0:
-        raise DomainError(f"inversion requires t > 0, got {t}")
+    if not 0 < t < math.inf:
+        raise DomainError(f"inversion requires a finite t > 0, got {t}")
     F, points = d, ()
     if isinstance(d, _Descriptor):
         if d.inversion_exponent() > 2.0 + 1e-12:

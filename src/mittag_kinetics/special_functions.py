@@ -77,10 +77,12 @@ is refused with ``DomainError`` rather than returned as ``inf``.
 ``_ml_eval_mesh`` evaluates one parameter triple over an ndarray of z
 (the residual quadrature's mesh, through ``kinetics.SolutionSeries``):
 stage 1 for every point at once, with one pass over the z-free part of
-the term logs per block of k, the same stopping rule and the same
-acceptance rule as the float path (``_float_sum_kept``, which both
-call); every point that rule does not keep goes through ``ml_eval`` one
-by one, so stages 2-4 and every error are the scalar path's.
+the term logs per block of k.  Every point is summed to the term count
+``_sum_series`` reads at the point of largest |z|, whose terms are the
+largest at every k; the stop rule is checked once, at that count, and
+then the float path's acceptance rule (``_float_sum_kept``, which both
+call).  Every point these do not keep goes through ``ml_eval`` one by
+one, so stages 2-4 and every error are the scalar path's.
 """
 
 from __future__ import annotations
@@ -198,7 +200,7 @@ class MLParams:
 
     ``nu`` scales the index inside the Gamma denominator, ``mu`` shifts it,
     and ``gamma`` is the Pochhammer (rising-factorial) index.  This package
-    restricts all three to reals with nu > 0, mu > 0 and gamma != 0.
+    restricts all three to finite reals with nu > 0, mu > 0 and gamma != 0.
     """
 
     nu: float
@@ -206,12 +208,12 @@ class MLParams:
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.nu > 0):
-            raise DomainError(f"nu must be positive, got {self.nu}")
-        if not (self.mu > 0):
-            raise DomainError(f"mu must be positive, got {self.mu}")
-        if self.gamma == 0:
-            raise DomainError("gamma must be nonzero")
+        if not 0 < self.nu < math.inf:
+            raise DomainError(f"nu must be positive and finite, got {self.nu}")
+        if not 0 < self.mu < math.inf:
+            raise DomainError(f"mu must be positive and finite, got {self.mu}")
+        if not (self.gamma != 0 and math.isfinite(self.gamma)):
+            raise DomainError(f"gamma must be nonzero and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -490,13 +492,14 @@ def _ml_eval_mesh(
     params: MLParams, z: np.ndarray, cfg: SeriesConfig = DEFAULT_SERIES_CONFIG
 ) -> np.ndarray:
     """``ml_eval`` at every point of the ndarray z, with the float series
-    of stage 1 summed for the whole mesh at once (``_ml_mesh_sums``).
+    of stage 1 summed for the whole mesh at once (``_ml_mesh_sums``), to
+    the term count of the point of largest |z|.
 
-    A point's sum is kept by ``_float_sum_kept``, the rule ``ml_eval``
-    keeps it by.  Every other point -- z = 0, NaN or beyond
-    ``cfg.max_abs_z``, a sum refused, overflowing or unfinished -- goes
-    through ``ml_eval`` one by one, which gives its value or raises its
-    error.
+    A point's sum is kept when it meets the stop rule of ``_sum_series``
+    at that count and ``_float_sum_kept``, the rule ``ml_eval`` keeps it
+    by.  Every other point -- z = 0, NaN or beyond ``cfg.max_abs_z``, a
+    sum refused, overflowing or short of terms -- goes through
+    ``ml_eval`` one by one, which gives its value or raises its error.
     """
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
@@ -516,101 +519,62 @@ def _ml_mesh_sums(params: MLParams, z: np.ndarray, cfg: SeriesConfig) -> tuple[n
     """(kept, total) of the float Mittag-Leffler series at every point of
     a 1-D array of finite z != 0.
 
-    Per block of ``_MESH_BLOCK`` values of k the z-free part of the term
-    logs, log|(gamma)_k / k!| - lgamma(mu + k nu), is built once with its
-    sign, ending where the Pochhammer factor does, and the terms of every
-    point come from one outer operation with k log|z|.  Each point is
-    summed with Kahan compensation and stops as ``_sum_series`` stops it:
-    three terms in a row below ``rel_tol`` times its sum, or a term below
-    ``_ABS_FLOOR`` on the decaying tail.  A point whose term passes
-    ``_LOG_OVERFLOW`` first, or that is still running when ``max_terms``
-    terms are spent, is not kept; nor is a finished sum that
-    ``_float_sum_kept`` refuses.
+    Every point is summed over the n terms ``_sum_series`` reads at the
+    point of largest |z|, whose term is the largest at every k: a point
+    that needs more has a small sum and fails the tail check below.  Per
+    block of ``_MESH_BLOCK`` values of k the z-free part of the term logs,
+    log|(gamma)_k / k!| - lgamma(mu + k nu), is built once with its sign,
+    and the terms of every point come from one outer operation with
+    k log|z|, summed with Kahan compensation.  A point is kept when none
+    of its term logs passed ``_LOG_OVERFLOW``, its last three terms are
+    below ``rel_tol`` times its sum (the stop rule of ``_sum_series``) or
+    the Pochhammer factor ended the series, and ``_float_sum_kept`` keeps
+    its sum.  When the far point does not converge within ``max_terms``
+    no point is kept.
     """
+    far = float(z[np.argmax(np.abs(z))])
+    try:
+        _, _, n = _sum_series(_ml_terms(params, far), cfg, "Mittag-Leffler series")
+    except NonConvergence:
+        return np.zeros(z.size, dtype=bool), np.zeros(z.size)
     nu, mu, gam = params.nu, params.mu, params.gamma
-    n_terms = int(1.0 - gam) if gam < 0 and gam == int(gam) else math.inf
-    rows = min(cfg.max_terms, n_terms)
-    m = z.size
     log_abs_z = np.array([math.log(abs(x)) for x in z.tolist()])
-    negative = z < 0.0
-    finished = np.zeros(m, dtype=bool)
-    result = np.zeros(m)
-    result_peak = np.zeros(m)
-
-    # state of the points still summing, ``act``
-    act = np.arange(m)
-    total, comp, peak = np.zeros(m), np.zeros(m), np.zeros(m)
-    prev = np.full(m, -np.inf)  # magnitude of the term before (none at k = 0)
-    small_before = np.zeros((2, m), dtype=bool)  # the two terms before were small
-    lgamma, log = math.lgamma, math.log
+    total, comp, peak = np.zeros(z.size), np.zeros(z.size), np.zeros(z.size)
+    over = np.zeros(z.size, dtype=bool)
+    tail = np.empty((0, z.size))  # magnitudes of the last three terms
     log_poch, sign = 0.0, 1.0
-    for k0 in range(0, rows, _MESH_BLOCK):
+    for k0 in range(0, n, _MESH_BLOCK):
         # the parts of the term logs _ml_terms builds, with its arithmetic
-        ks = range(k0, min(k0 + _MESH_BLOCK, rows))
         pochs, gammas, fronts = [], [], []
-        for k in ks:
+        for k in range(k0, min(k0 + _MESH_BLOCK, n)):
             pochs.append(log_poch)
-            gammas.append(lgamma(mu + k * nu))
+            gammas.append(math.lgamma(mu + k * nu))
             fronts.append(sign)
             g = gam + k
             if g == 0.0:
                 break  # the last term: the series terminated exactly
             if gam != 1.0:
-                log_poch += log(abs(g)) - log(k + 1.0)
+                log_poch += math.log(abs(g)) - math.log(k + 1.0)
             if g < 0:
                 sign = -sign
-        front = np.array(fronts)
-        alternating = front.copy()
-        alternating[(k0 + 1) % 2::2] *= -1.0
-        signs = np.where(negative[act], alternating[:, None], front[:, None])
-        log_mag = np.arange(k0, k0 + len(ks), dtype=float)[:, None] * log_abs_z[act]
-        log_mag += np.array(pochs)[:, None]
-        log_mag -= np.array(gammas)[:, None]
-        overflow = log_mag.max() > _LOG_OVERFLOW
-        if overflow:
-            over = log_mag > _LOG_OVERFLOW
+        ks = np.arange(k0, k0 + len(fronts), dtype=float)[:, None]
+        front = np.array(fronts)[:, None]
+        signs = np.where(z < 0.0, front * (-1.0) ** ks, front)
+        log_mag = ks * log_abs_z + np.array(pochs)[:, None] - np.array(gammas)[:, None]
+        if log_mag.max() > _LOG_OVERFLOW:
+            over |= (log_mag > _LOG_OVERFLOW).any(axis=0)
             np.minimum(log_mag, _LOG_OVERFLOW, out=log_mag)
         mag = np.exp(log_mag)
-        terms = mag * signs
-
-        totals = np.empty_like(terms)
-        y = np.empty(act.size)
-        for r in range(len(ks)):
-            np.subtract(terms[r], comp, out=y)
-            running = totals[r]
-            np.add(total, y, out=running)
-            np.subtract(running, total, out=comp)
-            comp -= y
+        for term in mag * signs:
+            y = term - comp
+            running = total + y
+            comp = (running - total) - y
             total = running
-
-        small = np.concatenate((small_before, mag < cfg.rel_tol * np.abs(totals)))
-        stop = small[2:] & small[1:-1] & small[:-2]
-        if mag.min() < _ABS_FLOOR:
-            before = np.concatenate((prev[None, :], mag[:-1]))
-            stop |= (mag < _ABS_FLOOR) & (mag <= before)
-        if overflow:
-            stop |= over
-        hit = stop.any(axis=0)
-        cols = np.flatnonzero(hit)
-        if cols.size:
-            at = stop[:, cols].argmax(axis=0)
-            idx = act[cols]
-            reach = np.maximum.accumulate(mag[:, cols], axis=0)[at, np.arange(cols.size)]
-            result[idx] = totals[at, cols]
-            result_peak[idx] = np.maximum(peak[cols], reach)
-            finished[idx] = ~over[at, cols] if overflow else True
-        go_on = ~hit
-        act = act[go_on]
-        if not act.size:
-            break
-        total, comp = totals[-1, go_on], comp[go_on]
-        peak = np.maximum(peak[go_on], mag[:, go_on].max(axis=0))
-        prev, small_before = mag[-1, go_on], small[-2:, go_on]
-    else:  # the budget ran out, or the terms did: an exact end
-        if n_terms < cfg.max_terms:
-            result[act], result_peak[act], finished[act] = total, peak, True
-    kept = finished & _float_sum_kept(_hyper_order(params), result, result_peak)
-    return kept, result
+        peak = np.maximum(peak, mag.max(axis=0))
+        tail = np.concatenate((tail, mag[-3:]))[-3:]
+    converged = (g == 0.0) | (tail < cfg.rel_tol * np.abs(total)).all(axis=0)
+    kept = ~over & converged & _float_sum_kept(_hyper_order(params), total, peak)
+    return kept, total
 
 
 def _ml_terms_mp(params: MLParams, z: float) -> Iterator[mp.mpf]:
@@ -950,7 +914,7 @@ def wright_eval(
         log10_peak = _log10_peak(_wright_terms(params, z), cfg, what)
     # long series hit the accuracy floor of float gammaln(k+1) against the
     # list Gammas; redo those in mpmath as well
-    elif n_used > 220 or peak > _MP_FALLBACK_RATIO * max(abs(total), _ABS_FLOOR):
+    elif n_used > 220 or not _float_sum_kept(0, total, peak):
         log10_peak = math.log10(max(peak, _ABS_FLOOR))
     else:
         return total
@@ -1014,13 +978,13 @@ def hyp1f1(
 
     For x < 0 the series alternates and cancels; Kummer's transformation
     1F1(g; b; x) = e^x 1F1(b - g; b; -x) sums the non-alternating one instead.
-    A NaN or infinite x raises ``DomainError``.
+    A NaN or infinite parameter or x raises ``DomainError``.
     """
+    x = float(x)
+    if not (math.isfinite(gamma1) and math.isfinite(beta1) and math.isfinite(x)):
+        raise DomainError(f"1F1 parameters and argument must be finite, got {gamma1}, {beta1}, {x}")
     if _near_nonpositive_int(beta1):
         raise DomainError(f"beta1 must not be a non-positive integer, got {beta1}")
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"1F1 argument must be finite, got {x}")
     if x < 0:
         return math.exp(x) * hyp1f1(beta1 - gamma1, beta1, -x, cfg)
     total, _, _ = _sum_series(_hyp1f1_terms(gamma1, beta1, x), cfg, "1F1 series")

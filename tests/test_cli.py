@@ -366,6 +366,17 @@ class TestSpecValidation:
         spec["parameters"]["c"] = -1.0
         assert main(["solve-kinetic", "--spec", write_spec(tmp_path, spec)]) == 2
 
+    @pytest.mark.parametrize("key", ["nu", "mu", "gamma"])
+    def test_non_finite_ml_parameter(self, tmp_path, capsys, key):
+        # JSON's Infinity parses to a float; it is refused as a spec error
+        spec = {"version": "1", "parameters": {"nu": 0.5, key: math.inf},
+                "grid": {"start": -1.0, "stop": 0.0, "n": 3}}
+        assert main(["eval-ml", "--spec", write_spec(tmp_path, spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert (err["kind"], err["type"]) == ("spec", "DomainError")
+
     # every task that reads --tol, with parameters it accepts
     TOL_TASKS = {
         "eval-ml": {"nu": 1.0},

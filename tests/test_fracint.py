@@ -27,6 +27,21 @@ class TestConfig:
             FracIntConfig(grading=0.5)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: rl_integral(math.cos, 0.5, math.inf),
+    lambda: rl_integral(math.cos, 0.5, math.nan),
+    lambda: rl_integral(math.cos, math.nan, 1.0),
+    lambda: rl_integral(math.cos, math.inf, 1.0),
+    lambda: FracIntConfig(h=math.nan),
+    lambda: FracIntConfig(h=math.inf),
+    lambda: FracIntConfig(singular_power=math.nan),
+    lambda: FracIntConfig(grading=math.inf),
+], ids=["t-inf", "t-nan", "nu-nan", "nu-inf", "h-nan", "h-inf", "power-nan", "grading-inf"])
+def test_non_finite_inputs_refused(make):
+    with pytest.raises(DomainError):
+        make()
+
+
 class TestRlIntegral:
     def test_constant(self):
         got = rl_integral(lambda u: 1.0, 0.6, 2.0)

@@ -134,6 +134,12 @@ class TestLtEval:
         assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf])
+def test_non_finite_time_refused(t):
+    with pytest.raises(DomainError):
+        lt_invert_numeric(MLBasic(1.0, 0.7), t)
+
+
 class TestSelfSimilarity:
     def test_examples(self):
         assert self_similarity_check(0.5, 4.0, 1.0) == pytest.approx((2.0, 2.0))

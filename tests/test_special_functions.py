@@ -330,6 +330,20 @@ def test_series_oracle_cut_is_relative():
     assert got == pytest.approx(-1.0713218392530977e-70, rel=1e-15, abs=0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: MLParams(math.inf),
+    lambda: MLParams(0.5, math.inf),
+    lambda: MLParams(0.5, 1.0, math.nan),
+    lambda: MLParams(0.5, 1.0, -math.inf),
+    lambda: hyp1f1(1.0, math.nan, 1.0),
+    lambda: hyp1f1(math.inf, 2.0, 1.0),
+], ids=["nu-inf", "mu-inf", "gamma-nan", "gamma-minus-inf", "hyp1f1-beta-nan", "hyp1f1-gamma-inf"])
+def test_non_finite_parameters_refused(make):
+    # refused at once, not after a term budget spent on nan or inf terms
+    with pytest.raises(DomainError):
+        make()
+
+
 class TestMLContour:
     """The double-precision contour route of ml_eval, held against
     independent routes: the mpmath series, erfcx and Talbot inversion."""
@@ -541,6 +555,41 @@ class TestMLMesh:
             expected = [float(mp.rgamma(mu) - 2 * mp.mpf(v) * mp.rgamma(mu + nu)
                               + mp.mpf(v) ** 2 * mp.rgamma(mu + 2 * nu)) for v in z]
         self._check(MLParams(nu=nu, mu=mu, gamma=-2.0), z, expected)
+
+    def test_terminating_pochhammer_sums_every_point(self, monkeypatch):
+        # the series ends after three terms, so every point is an exact
+        # sum of them: none needs the scalar path
+        nu, mu = 0.7, 1.3
+        z = np.linspace(-50.0, -0.5, 40)
+        with mp.workdps(40):
+            expected = [float(mp.rgamma(mu) - 2 * mp.mpf(v) * mp.rgamma(mu + nu)
+                              + mp.mpf(v) ** 2 * mp.rgamma(mu + 2 * nu)) for v in z]
+        calls = self._count_scalar_calls(monkeypatch)
+        self._check(MLParams(nu=nu, mu=mu, gamma=-2.0), z, expected)
+        assert calls == []
+
+    def test_point_needing_more_terms_than_the_far_point(self):
+        # next to the zero of E[1.6, 1.3] near z = -3.49 some points need
+        # more terms than the mesh's point of largest |z|; summed to that
+        # point's count their tail is not yet below rel_tol of their sum,
+        # so the mesh must not keep them, though the keep rule alone would
+        params, cfg = MLParams(nu=1.6, mu=1.3), SeriesConfig()
+        z0 = brentq(lambda v: ml_eval(params, v), -3.6, -3.4, xtol=1e-15)
+        z = z0 + np.linspace(-0.2, 0.2, 41)
+        far = float(z[np.argmax(np.abs(z))])
+        _, _, n_far = special_functions._sum_series(
+            special_functions._ml_terms(params, far), cfg, "Mittag-Leffler series")
+        kept, totals = special_functions._ml_mesh_sums(params, z, cfg)
+        longer = []
+        for i, x in enumerate(z):
+            _, peak, n = special_functions._sum_series(
+                special_functions._ml_terms(params, float(x)), cfg, "Mittag-Leffler series")
+            if n > n_far and special_functions._float_sum_kept(
+                    special_functions._hyper_order(params), totals[i], peak):
+                longer.append(i)
+        assert longer
+        assert not kept[longer].any()
+        self._check(params, z, [_ml_series_oracle(1.6, 1.3, 1.0, x) for x in z])
 
     def test_mesh_with_zero(self):
         params = MLParams(nu=0.8, mu=1.7, gamma=1.5)
