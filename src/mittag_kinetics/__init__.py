@@ -57,12 +57,10 @@ from .reaction_diffusion import (
 )
 from .special_functions import (
     DEFAULT_SERIES_CONFIG,
-    HFunctionParams,
     MLParams,
     SeriesConfig,
     WrightParams,
     f_function,
-    h_integrand,
     hyp1f1,
     ml_eval,
     r_function,
@@ -86,13 +84,11 @@ __all__ = [
     "DEFAULT_SERIES_CONFIG",
     "MLParams",
     "WrightParams",
-    "HFunctionParams",
     "ml_eval",
     "f_function",
     "r_function",
     "wright_eval",
     "hyp1f1",
-    "h_integrand",
     "GammaPower",
     "LaplaceDensity",
     "ResidualProduct",

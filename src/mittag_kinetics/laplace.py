@@ -50,27 +50,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union, get_args
 
 import mpmath as mp
-from scipy.integrate import quad
 
 from .errors import DomainError, InversionFailure, PoleError, QuadratureFailure
-
-__all__ = [
-    "GammaPower",
-    "LaplaceDensity",
-    "ResidualProduct",
-    "MLBasic",
-    "MLGeneral",
-    "TwoRateProduct",
-    "ThreeTermAlpha",
-    "ThreeTermBeta",
-    "TransformDescriptor",
-    "InversionConfig",
-    "QuadratureConfig",
-    "lt_eval",
-    "lt_forward_numeric",
-    "lt_invert_numeric",
-    "self_similarity_check",
-]
 
 #: Relative tolerance below which a denominator counts as a pole hit.
 _DEN_TOL = 1e-12
@@ -446,6 +427,9 @@ def lt_forward_numeric(
             return 0.0
         t = u**s
         return f(t) * math.exp(-p * t) * s * u ** (s - 1.0)
+
+    # lazy: only this oracle uses scipy.integrate, a third of the package's import time
+    from scipy.integrate import quad
 
     upper = T ** (1.0 / s)
     out = quad(integrand, 0.0, upper, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=400, full_output=1)

@@ -9,9 +9,8 @@ weight and gives the two-parameter function; mu=1 as well gives the
 classical one-parameter function that interpolates between exponential
 (nu=1) and power-law relaxation.  The module also provides the
 Hartley-Lorenzo response functions (both reducible to the two-parameter
-family), a generalized Wright series, the confluent hypergeometric 1F1
-series, and the gamma-product integrand of the Mellin-Barnes (Fox H)
-representation.
+family), a generalized Wright series and the confluent hypergeometric
+1F1 series.
 
 All series share one truncation contract (``SeriesConfig``), applied by
 one float64 driver, ``_sum_series``, to the terms each series generates:
@@ -20,12 +19,13 @@ space so large Gamma denominators never overflow, and the sum is accepted
 once the term magnitude stays below ``rel_tol`` times the partial sum for
 three consecutive terms (alternating series can produce a single
 deceptively small term).  Arguments beyond ``max_abs_z`` are refused with
-``DomainError``.  When a term would overflow and no contour value is
-taken, one log-space scan of the same terms (``_log10_peak``) finds the
-largest, which sets the mpmath working precision.  The scan refuses at
-once, without the rerun, a value whose terms have one sign and sum beyond
-float range (``DomainError``) and one whose terms cannot fall low enough
-within ``max_terms`` for the rerun to stop (``NonConvergence``).
+``DomainError``, as are NaN or infinite parameters (``MLParams``,
+``WrightParams``, ``hyp1f1``).  When a term would overflow and no contour
+value is taken, one log-space scan of the same terms (``_log10_peak``)
+finds the largest, which sets the mpmath working precision.  The scan
+refuses at once, without the rerun, a value whose terms have one sign and
+sum beyond float range (``DomainError``) and one whose terms cannot fall
+low enough within ``max_terms`` for the rerun to stop (``NonConvergence``).
 
 Alternating arguments are the numerically hostile direction: the terms
 of E[1/2](-6) peak fourteen orders of magnitude above the final sum, so
@@ -97,24 +97,9 @@ from typing import Callable, Iterator
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln, gammasgn, loggamma
+from scipy.special import gammaln, gammasgn
 
 from .errors import DomainError, NonConvergence, PoleError
-
-__all__ = [
-    "MLParams",
-    "SeriesConfig",
-    "WrightParams",
-    "HFunctionParams",
-    "DEFAULT_SERIES_CONFIG",
-    "pochhammer",
-    "ml_eval",
-    "f_function",
-    "r_function",
-    "wright_eval",
-    "hyp1f1",
-    "h_integrand",
-]
 
 #: Absolute tolerance used to decide that a Gamma argument sits on a pole.
 _POLE_TOL = 1e-12
@@ -239,7 +224,8 @@ class WrightParams:
     """Gamma-weight lists ((a_j, A_j); (b_j, B_j)) of the generalized Wright series.
 
     The series converges for all z when 1 + sum(B_j) - sum(A_j) >= 0; parameter
-    sets violating that are rejected at construction.
+    sets violating that, or holding a NaN or infinite entry, are rejected at
+    construction.
     """
 
     upper: tuple[tuple[float, float], ...]
@@ -248,56 +234,13 @@ class WrightParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "upper", tuple((float(a), float(aa)) for a, aa in self.upper))
         object.__setattr__(self, "lower", tuple((float(b), float(bb)) for b, bb in self.lower))
+        if not all(math.isfinite(x) for pair in self.upper + self.lower for x in pair):
+            raise DomainError(f"Wright parameters must be finite, got {self.upper}, {self.lower}")
         margin = 1.0 + sum(bb for _, bb in self.lower) - sum(aa for _, aa in self.upper)
         if margin < 0:
             raise DomainError(
                 f"convergence condition 1 + sum(B) - sum(A) >= 0 violated (margin {margin})"
             )
-
-
-@dataclass(frozen=True)
-class HFunctionParams:
-    """Orders (m, n, p, q) and parameter lists of the Mellin-Barnes integrand.
-
-    ``upper`` holds the p pairs (a_j, A_j), ``lower`` the q pairs (b_j, B_j);
-    all A_j, B_j must be positive.  Only the integrand is evaluated here --
-    contour integration is out of scope.
-    """
-
-    m: int
-    n: int
-    upper: tuple[tuple[float, float], ...] = ()
-    lower: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "upper", tuple((float(a), float(aa)) for a, aa in self.upper))
-        object.__setattr__(self, "lower", tuple((float(b), float(bb)) for b, bb in self.lower))
-        if self.m < 0 or self.n < 0:
-            raise DomainError("orders m, n must be non-negative")
-        if self.n > self.p:
-            raise DomainError(f"n={self.n} exceeds p={self.p}")
-        if self.m > self.q:
-            raise DomainError(f"m={self.m} exceeds q={self.q}")
-        if any(aa <= 0 for _, aa in self.upper) or any(bb <= 0 for _, bb in self.lower):
-            raise DomainError("all A_j and B_j must be positive")
-
-    @property
-    def p(self) -> int:
-        return len(self.upper)
-
-    @property
-    def q(self) -> int:
-        return len(self.lower)
-
-
-def pochhammer(gamma: float, k: int) -> float:
-    """Rising factorial (gamma)_k = gamma * (gamma+1) * ... * (gamma+k-1)."""
-    if k < 0:
-        raise DomainError(f"k must be a non-negative integer, got {k}")
-    out = 1.0
-    for j in range(k):
-        out *= gamma + j
-    return out
 
 
 def _near_nonpositive_int(x: float) -> bool:
@@ -999,36 +942,3 @@ def _hyp1f1_terms(gamma1: float, beta1: float, x: float) -> Iterator[tuple[float
         term *= (gamma1 + k) / ((beta1 + k) * (k + 1.0)) * x
         if not math.isfinite(term):
             raise NonConvergence(f"1F1 term overflowed at k={k} (x={x})")
-
-
-def h_integrand(params: HFunctionParams, s: complex) -> complex:
-    """Gamma-product ratio g(s) of the Mellin-Barnes representation.
-
-    g(s) = [prod_{j<=m} Gamma(b_j + B_j s) * prod_{j<=n} Gamma(1 - a_j - A_j s)]
-         / [prod_{j>m}  Gamma(1 - b_j - B_j s) * prod_{j>n}  Gamma(a_j + A_j s)]
-
-    evaluated through the complex log-Gamma for stability.  ``PoleError`` is
-    raised when any Gamma argument (numerator or denominator) falls on a
-    non-positive integer within tolerance.
-    """
-    s = complex(s)
-
-    def check(arg: complex) -> complex:
-        if abs(arg.imag) < _POLE_TOL and _near_nonpositive_int(arg.real):
-            raise PoleError(f"Gamma argument {arg} is a non-positive integer")
-        return arg
-
-    log_sum = 0.0 + 0.0j
-    for j in range(params.m):
-        b, bb = params.lower[j]
-        log_sum += loggamma(check(b + bb * s))
-    for j in range(params.n):
-        a, aa = params.upper[j]
-        log_sum += loggamma(check(1.0 - a - aa * s))
-    for j in range(params.m, params.q):
-        b, bb = params.lower[j]
-        log_sum -= loggamma(check(1.0 - b - bb * s))
-    for j in range(params.n, params.p):
-        a, aa = params.upper[j]
-        log_sum -= loggamma(check(a + aa * s))
-    return cmath.exp(log_sum)

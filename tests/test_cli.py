@@ -377,6 +377,15 @@ class TestSpecValidation:
         err = json.loads(captured.err)["error"]
         assert (err["kind"], err["type"]) == ("spec", "DomainError")
 
+    def test_non_finite_wright_parameter(self, tmp_path, capsys):
+        spec = {"version": "1", "parameters": {"upper": [[math.nan, 1.0]], "lower": []},
+                "grid": {"start": -1.0, "stop": 0.0, "n": 3}}
+        assert main(["eval-wright", "--spec", write_spec(tmp_path, spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert (err["kind"], err["type"]) == ("spec", "DomainError")
+
     # every task that reads --tol, with parameters it accepts
     TOL_TASKS = {
         "eval-ml": {"nu": 1.0},
