@@ -11,7 +11,13 @@ Tasks are driven by a JSON spec file (schema version "1"):
     }
 
 The task named on the command line must match the spec when the spec
-names one. Every parameter is validated before any computation starts;
+names one. A task's parameter keys are the fields of the frozen record
+it builds (``_record`` reads them from its dataclass fields) plus the
+task's own keys, such as invert-lt's "descriptor.kind" and "nodes";
+rd-solve reads RDProblem itself. Names, defaults and value checks live
+in the records, which refuse NaN and infinite numbers.
+
+Every parameter is validated before any computation starts;
 malformed specs exit with status 2 and a JSON error object on stderr,
 numerical failures exit with status 3, success with 0. Output goes to
 the spec path, the --out override, or stdout, with numbers rendered at
@@ -21,6 +27,7 @@ the spec path, the --out override, or stdout, with numbers rendered at
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -49,18 +56,12 @@ from .special_functions import (
 )
 from .reaction_diffusion import RDProblem, rd_solve_fd, rd_solve_spectral
 
-TASKS = (
-    "eval-ml",
-    "eval-wright",
-    "solve-kinetic",
-    "invert-lt",
-    "invert-three-term",
-    "rd-solve",
-    "verify",
-)
-
 # invert-three-term "numerator" values and the catalog kinds they name
 _NUMERATORS = {"alpha-minus-one": ThreeTermAlpha, "beta-minus-one": ThreeTermBeta}
+
+# record fields read from the spec as lists of [a, b] pairs; every other
+# field is read as a number
+_PAIR_FIELDS = frozenset({"plus", "minus", "upper", "lower"})
 
 _RESIDUAL_GATE = 1e-4
 _VERIFY_TOL = 1e-5
@@ -69,20 +70,19 @@ Rows = list[list[float]]
 Meta = dict | None
 
 
-def _fail(message: str) -> SpecError:
-    return SpecError(message)
-
-
 def _as_float(obj, what: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise _fail(f"{what} must be a number, got {obj!r}")
-    return float(obj)
+        raise SpecError(f"{what} must be a number, got {obj!r}")
+    try:
+        return float(obj)
+    except OverflowError:  # an integer literal beyond float range
+        raise SpecError(f"{what} is beyond float range") from None
 
 
 def _check_keys(params: dict, allowed: set[str], task: str) -> None:
     unknown = set(params) - allowed
     if unknown:
-        raise _fail(f"unknown parameter(s) for {task}: {', '.join(sorted(unknown))}")
+        raise SpecError(f"unknown parameter(s) for {task}: {', '.join(sorted(unknown))}")
 
 
 def _load_spec(path: str) -> dict:
@@ -90,39 +90,39 @@ def _load_spec(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             spec = json.load(fh)
     except OSError as exc:
-        raise _fail(f"cannot read spec file: {exc}") from exc
+        raise SpecError(f"cannot read spec file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"spec is not valid JSON: {exc}") from exc
+        raise SpecError(f"spec is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):
-        raise _fail("spec must be a JSON object")
+        raise SpecError("spec must be a JSON object")
     if spec.get("version") != "1":
-        raise _fail(f"unsupported spec version {spec.get('version')!r}, expected \"1\"")
+        raise SpecError(f"unsupported spec version {spec.get('version')!r}, expected \"1\"")
     unknown = set(spec) - {"version", "task", "parameters", "grid", "output"}
     if unknown:
-        raise _fail(f"unknown spec key(s): {', '.join(sorted(unknown))}")
+        raise SpecError(f"unknown spec key(s): {', '.join(sorted(unknown))}")
     return spec
 
 
 def _parse_grid_flag(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise _fail(f"--grid wants START:STOP:N, got {text!r}")
+        raise SpecError(f"--grid wants START:STOP:N, got {text!r}")
     try:
         start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise _fail(f"--grid wants numeric START:STOP:N, got {text!r}") from exc
+        raise SpecError(f"--grid wants numeric START:STOP:N, got {text!r}") from exc
     return _make_grid(start, stop, n)
 
 
 def _make_grid(start: float, stop: float, n: int) -> list[float]:
     if n < 1:
-        raise _fail(f"grid needs at least one point, got n={n}")
+        raise SpecError(f"grid needs at least one point, got n={n}")
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise _fail("grid bounds must be finite")
+        raise SpecError("grid bounds must be finite")
     if n == 1:
         return [start]
     if stop <= start:
-        raise _fail(f"grid needs stop > start, got [{start}, {stop}]")
+        raise SpecError(f"grid needs stop > start, got [{start}, {stop}]")
     return [float(v) for v in np.linspace(start, stop, n)]
 
 
@@ -131,14 +131,14 @@ def _grid_of(spec: dict, override: str | None) -> list[float]:
         return _parse_grid_flag(override)
     grid = spec.get("grid")
     if not isinstance(grid, dict):
-        raise _fail("spec needs a grid object {start, stop, n} (or use --grid)")
+        raise SpecError("spec needs a grid object {start, stop, n} (or use --grid)")
     _check_keys(grid, {"start", "stop", "n"}, "the grid object")
     for key in ("start", "stop", "n"):
         if key not in grid:
-            raise _fail(f"grid is missing {key!r}")
+            raise SpecError(f"grid is missing {key!r}")
     n = grid["n"]
     if isinstance(n, bool) or not isinstance(n, int):
-        raise _fail(f"grid n must be an integer, got {n!r}")
+        raise SpecError(f"grid n must be an integer, got {n!r}")
     return _make_grid(
         _as_float(grid["start"], "grid start"), _as_float(grid["stop"], "grid stop"), n
     )
@@ -149,7 +149,7 @@ def _tol_or(tol: float | None, default: float) -> float:
     if tol is None:
         return default
     if not 0.0 < tol < 1.0:
-        raise _fail(f"--tol must be in (0, 1), got {tol}")
+        raise SpecError(f"--tol must be in (0, 1), got {tol}")
     return tol
 
 
@@ -159,66 +159,58 @@ def _series_config(tol: float | None) -> SeriesConfig:
 
 def _positive_grid(grid: Sequence[float], what: str) -> None:
     if min(grid) <= 0.0:
-        raise _fail(f"{what} requires strictly positive grid values")
-
-
-def _kinetic_problem(params: dict) -> KineticProblem:
-    _check_keys(params, {"kind", "n0", "c", "nu", "mu", "gamma", "d"}, "the kinetic problem")
-    try:
-        kind = ProblemKind(params.get("kind"))
-    except ValueError:
-        choices = ", ".join(k.value for k in ProblemKind)
-        raise _fail(f"kinetic kind must be one of {choices}, got {params.get('kind')!r}")
-    kwargs = {}
-    for key in ("n0", "c", "nu", "mu", "gamma", "d"):
-        if key in params:
-            kwargs[key] = _as_float(params[key], key)
-    for key in ("n0", "c", "nu"):
-        if key not in kwargs:
-            raise _fail(f"kinetic problem is missing {key!r}")
-    return KineticProblem(kind, **kwargs)
+        raise SpecError(f"{what} requires strictly positive grid values")
 
 
 def _pair_list(obj, what: str) -> tuple[tuple[float, float], ...]:
     if not isinstance(obj, list):
-        raise _fail(f"{what} must be a list of [a, b] pairs")
+        raise SpecError(f"{what} must be a list of [a, b] pairs")
     out = []
     for item in obj:
         if not (isinstance(item, list) and len(item) == 2):
-            raise _fail(f"{what} must contain [a, b] pairs, got {item!r}")
+            raise SpecError(f"{what} must contain [a, b] pairs, got {item!r}")
         out.append((_as_float(item[0], what), _as_float(item[1], what)))
     return tuple(out)
 
 
-def _build_eval_ml(params: dict, grid: list[float], tol: float | None):
-    _check_keys(params, {"nu", "mu", "gamma"}, "eval-ml")
-    ml = MLParams(
-        nu=_as_float(params.get("nu"), "nu"),
-        mu=_as_float(params.get("mu", 1.0), "mu"),
-        gamma=_as_float(params.get("gamma", 1.0), "gamma"),
-    )
+def _record(cls, params: dict, what: str, **given):
+    """The frozen record ``cls(**given, ...)`` with its other fields read
+    from the spec object ``params``.
+
+    Unknown keys and missing required fields are refused with SpecError;
+    values are checked by the record itself.
+    """
+    fields = [f for f in dataclasses.fields(cls) if f.name not in given]
+    _check_keys(params, {f.name for f in fields}, what)
+    kwargs = dict(given)
+    for f in fields:
+        if f.name in params:
+            read = _pair_list if f.name in _PAIR_FIELDS else _as_float
+            kwargs[f.name] = read(params[f.name], f.name)
+        elif f.default is dataclasses.MISSING:
+            raise SpecError(f"{what} is missing {f.name!r}")
+    return cls(**kwargs)
+
+
+def _kinetic_problem(params: dict) -> KineticProblem:
+    fields = dict(params)
+    name = fields.pop("kind", None)
+    try:
+        kind = ProblemKind(name)
+    except ValueError:
+        choices = ", ".join(k.value for k in ProblemKind)
+        raise SpecError(f"kinetic kind must be one of {choices}, got {name!r}") from None
+    return _record(KineticProblem, fields, "the kinetic problem", kind=kind)
+
+
+def _build_eval(cls, evaluate, task: str, params: dict, grid: list[float], tol: float | None):
+    record = _record(cls, params, task)
     cfg = _series_config(tol)
     if max(abs(z) for z in grid) > cfg.max_abs_z:
-        raise _fail(f"grid exceeds the series domain |z| <= {cfg.max_abs_z}")
+        raise SpecError(f"grid exceeds the series domain |z| <= {cfg.max_abs_z}")
 
     def compute() -> tuple[Rows, Meta]:
-        return [[z, ml_eval(ml, z, cfg)] for z in grid], None
-
-    return ["z", "value"], compute
-
-
-def _build_eval_wright(params: dict, grid: list[float], tol: float | None):
-    _check_keys(params, {"upper", "lower"}, "eval-wright")
-    wp = WrightParams(
-        upper=_pair_list(params.get("upper", []), "upper"),
-        lower=_pair_list(params.get("lower", []), "lower"),
-    )
-    cfg = _series_config(tol)
-    if max(abs(z) for z in grid) > cfg.max_abs_z:
-        raise _fail(f"grid exceeds the series domain |z| <= {cfg.max_abs_z}")
-
-    def compute() -> tuple[Rows, Meta]:
-        return [[z, wright_eval(wp, z, cfg)] for z in grid], None
+        return [[z, evaluate(record, z, cfg)] for z in grid], None
 
     return ["z", "value"], compute
 
@@ -228,7 +220,7 @@ def _build_solve_kinetic(params: dict, grid: list[float], tol: float | None):
     series = solve(problem)
     cfg = _series_config(tol)
     if min(grid) < 0.0 or (min(grid) == 0.0 and any(t.power < 0.0 for t in series.terms)):
-        raise _fail("solution grid must stay where the series is defined (t > 0 here)")
+        raise SpecError("solution grid must stay where the series is defined (t > 0 here)")
 
     def compute() -> tuple[Rows, Meta]:
         return [[t, series.evaluate(t, cfg)] for t in grid], None
@@ -238,33 +230,23 @@ def _build_solve_kinetic(params: dict, grid: list[float], tol: float | None):
 
 def _build_invert_lt(params: dict, grid: list[float], tol: float | None):
     _check_keys(params, {"descriptor", "nodes"}, "invert-lt")
-    desc_spec = params.get("descriptor")
-    if not isinstance(desc_spec, dict) or "kind" not in desc_spec:
-        raise _fail("invert-lt needs a descriptor object with a \"kind\"")
-    cls = DESCRIPTOR_KINDS.get(desc_spec["kind"])
+    desc = params.get("descriptor")
+    if not isinstance(desc, dict) or "kind" not in desc:
+        raise SpecError("invert-lt needs a descriptor object with a \"kind\"")
+    fields = dict(desc)
+    name = fields.pop("kind")
+    cls = DESCRIPTOR_KINDS.get(name) if isinstance(name, str) else None
     if cls is None:
-        raise _fail(
-            f"unknown descriptor kind {desc_spec['kind']!r}; "
-            f"known: {', '.join(sorted(DESCRIPTOR_KINDS))}"
+        raise SpecError(
+            f"unknown descriptor kind {name!r}; known: {', '.join(sorted(DESCRIPTOR_KINDS))}"
         )
-    kwargs = {}
-    for key, value in desc_spec.items():
-        if key == "kind":
-            continue
-        if key in ("plus", "minus"):
-            kwargs[key] = _pair_list(value, key)
-        else:
-            kwargs[key] = _as_float(value, key)
-    try:
-        descriptor = cls(**kwargs)
-    except TypeError as exc:
-        raise _fail(f"bad descriptor parameters: {exc}") from exc
+    descriptor = _record(cls, fields, name)
     target = _tol_or(tol, 1e-8)
     # nodes is M of the mpmath fixed-Talbot stage (M and 2M nodes); the
     # double-precision stage tried first always sums at 32 and 64
     nodes = params.get("nodes", 64)
     if isinstance(nodes, bool) or not isinstance(nodes, int):
-        raise _fail(f"nodes must be an integer, got {nodes!r}")
+        raise SpecError(f"nodes must be an integer, got {nodes!r}")
     cfg = InversionConfig(M=nodes, precision_target=target)
     _positive_grid(grid, "inversion")
 
@@ -275,22 +257,16 @@ def _build_invert_lt(params: dict, grid: list[float], tol: float | None):
 
 
 def _build_invert_three_term(params: dict, grid: list[float], tol: float | None):
-    _check_keys(params, {"alpha", "beta", "a", "b", "numerator", "outer_terms"},
-                "invert-three-term")
-    numerator = params.get("numerator", "alpha-minus-one")
+    fields = dict(params)
+    numerator = fields.pop("numerator", "alpha-minus-one")
+    outer = fields.pop("outer_terms", 64)
     kind = _NUMERATORS.get(numerator) if isinstance(numerator, str) else None
     if kind is None:
         choices = ", ".join(_NUMERATORS)
-        raise _fail(f"numerator must be one of {choices}, got {numerator!r}")
-    d = kind(
-        alpha=_as_float(params.get("alpha"), "alpha"),
-        beta=_as_float(params.get("beta"), "beta"),
-        a=_as_float(params.get("a"), "a"),
-        b=_as_float(params.get("b"), "b"),
-    )
-    outer = params.get("outer_terms", 64)
+        raise SpecError(f"numerator must be one of {choices}, got {numerator!r}")
+    d = _record(kind, fields, "invert-three-term")
     if isinstance(outer, bool) or not isinstance(outer, int) or outer < 1:
-        raise _fail(f"outer_terms must be a positive integer, got {outer!r}")
+        raise SpecError(f"outer_terms must be a positive integer, got {outer!r}")
     cfg = _series_config(tol)
     _positive_grid(grid, "inversion")
 
@@ -304,26 +280,31 @@ def _build_rd_solve(params: dict, grid: list[float], tol: float | None):
     _check_keys(params, {"a", "nu2", "xi", "length", "n0", "n1", "solver", "dt"}, "rd-solve")
     solver = params.get("solver", "spectral")
     if solver not in ("spectral", "fd"):
-        raise _fail(f"solver must be \"spectral\" or \"fd\", got {solver!r}")
+        raise SpecError(f"solver must be \"spectral\" or \"fd\", got {solver!r}")
+    samples = {}
     for key in ("n0", "n1"):
-        if not isinstance(params.get(key), list):
-            raise _fail(f"rd-solve needs {key!r} as a list of samples")
+        values = params.get(key)
+        if not isinstance(values, list):
+            raise SpecError(f"rd-solve needs {key!r} as a list of samples")
+        samples[key] = np.array([_as_float(v, key) for v in values])
     problem = RDProblem(
         a=_as_float(params.get("a", 0.0), "a"),
         nu2=_as_float(params.get("nu2"), "nu2"),
         xi=_as_float(params.get("xi", 0.0), "xi"),
         length=_as_float(params.get("length"), "length"),
-        n0=np.asarray(params["n0"], dtype=float),
-        n1=np.asarray(params["n1"], dtype=float),
+        n0=samples["n0"],
+        n1=samples["n1"],
         times=tuple(grid),
     )
     dt = None
     if solver == "fd":
         if "dt" not in params:
-            raise _fail("the fd solver needs a dt parameter")
+            raise SpecError("the fd solver needs a dt parameter")
         dt = _as_float(params["dt"], "dt")
+        if not 0.0 < dt < math.inf:
+            raise SpecError(f"dt must be positive and finite, got {dt}")
     elif "dt" in params:
-        raise _fail("dt only applies to the fd solver")
+        raise SpecError("dt only applies to the fd solver")
 
     def compute() -> tuple[Rows, Meta]:
         sol = rd_solve_spectral(problem) if solver == "spectral" else rd_solve_fd(problem, dt)
@@ -367,8 +348,8 @@ def _build_verify(params: dict, grid: list[float], tol: float | None):
 
 
 _BUILDERS: dict[str, Callable] = {
-    "eval-ml": _build_eval_ml,
-    "eval-wright": _build_eval_wright,
+    "eval-ml": functools.partial(_build_eval, MLParams, ml_eval, "eval-ml"),
+    "eval-wright": functools.partial(_build_eval, WrightParams, wright_eval, "eval-wright"),
     "solve-kinetic": _build_solve_kinetic,
     "invert-lt": _build_invert_lt,
     "invert-three-term": _build_invert_three_term,
@@ -415,8 +396,8 @@ def _parser() -> argparse.ArgumentParser:
         description="Fractional kinetic solvers, Mittag-Leffler evaluation, and "
         "Laplace-transform oracles.",
     )
-    sub = parser.add_subparsers(dest="task", required=True, metavar="|".join(TASKS))
-    for task in TASKS:
+    sub = parser.add_subparsers(dest="task", required=True, metavar="|".join(_BUILDERS))
+    for task in _BUILDERS:
         p = sub.add_parser(task)
         p.add_argument("--spec", required=True, help="JSON problem spec file")
         p.add_argument("--out", help="output path (default: spec output.path or stdout)")
@@ -434,18 +415,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         spec = _load_spec(args.spec)
         if "task" in spec and spec["task"] != args.task:
-            raise _fail(f"spec names task {spec['task']!r} but {args.task!r} was requested")
+            raise SpecError(f"spec names task {spec['task']!r} but {args.task!r} was requested")
         params = spec.get("parameters", {})
         if not isinstance(params, dict):
-            raise _fail("parameters must be a JSON object")
+            raise SpecError("parameters must be a JSON object")
         grid = _grid_of(spec, args.grid)
         output = spec.get("output", {})
         if not isinstance(output, dict):
-            raise _fail("output must be a JSON object")
+            raise SpecError("output must be a JSON object")
         _check_keys(output, {"format", "path"}, "the output object")
         fmt = args.fmt or output.get("format", "csv")
         if fmt not in ("csv", "json"):
-            raise _fail(f"output format must be csv or json, got {fmt!r}")
+            raise SpecError(f"output format must be csv or json, got {fmt!r}")
         path = args.out or output.get("path")
         columns, compute = _BUILDERS[args.task](params, grid, args.tol)
     except MittagKineticsError as exc:

@@ -26,7 +26,7 @@ from scipy.special import beta as beta_fn
 from scipy.special import betainc, gammaln
 
 from .errors import DomainError, QuadratureFailure
-from .kinetics import KineticProblem, ProblemKind, source_term
+from .kinetics import KineticProblem, source_term
 
 _DEFAULT_CELLS = 512
 
@@ -132,7 +132,7 @@ def residual_check(problem: KineticProblem, solution: Callable[[float], float],
         return []
     if min(t_grid) <= 0.0:
         raise DomainError("residuals are defined for positive times only")
-    rho = 0.0 if problem.kind is ProblemKind.BASIC else problem.mu - 1.0
+    rho = problem.mu - 1.0
     if cfg.singular_power != 0.0 or cfg.grading != 1.0:
         eff = cfg
     else:

@@ -78,7 +78,8 @@ class KineticProblem:
 
     kind selects the source term:
 
-    * BASIC: constant source n0.
+    * BASIC: constant source n0, the power source at mu = 1; any other
+      mu is refused.
     * POWER_SOURCE: n0 * t**(mu-1).
     * ML_GAMMA_SOURCE: n0 * t**(mu-1) * E[nu, mu; gamma](-c**nu t**nu).
     * ML_SOURCE: n0 * t**(mu-1) * E[nu, mu](-c**nu t**nu), same rate c
@@ -88,6 +89,8 @@ class KineticProblem:
     * TWO_RATE: n0 * t**(mu-1) * E[nu, mu](-d**nu t**nu), production
       rate d distinct from the destruction rate c. Requires mu > nu for
       the same reason.
+
+    Every number must be finite; a NaN or infinite one raises DomainError.
     """
 
     kind: ProblemKind
@@ -99,6 +102,10 @@ class KineticProblem:
     d: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n0", "c", "nu", "mu", "gamma", "d"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         # n0 = 0 is the empty system; kept legal so zero solutions can
         # round-trip through residual certification
         if self.n0 < 0.0:
@@ -125,6 +132,8 @@ class KineticProblem:
                 )
         elif self.gamma != 0.0:
             raise DomainError("gamma only applies to ml-gamma-source problems")
+        if self.kind is ProblemKind.BASIC and self.mu != 1.0:
+            raise DomainError(f"basic problems have mu = 1, got mu={self.mu}")
         if self.kind is ProblemKind.ML_SOURCE and self.mu <= 1.0:
             raise DomainError(
                 f"ml-source solutions need mu > 1, got mu={self.mu}"

@@ -2,7 +2,8 @@
 transform oracles.
 
 Each transform in the catalog is a small frozen descriptor that knows how to
-evaluate its closed form at real or complex p (``lt_eval``).  Two numerical
+evaluate its closed form at real or complex p (``lt_eval``); a NaN or infinite
+field is refused with DomainError when the descriptor is built.  Two numerical
 oracles sit alongside:
 
 * ``lt_forward_numeric`` integrates e^{-pt} f(t) dt by adaptive quadrature,
@@ -57,6 +58,18 @@ from .errors import DomainError, InversionFailure, PoleError, QuadratureFailure
 _DEN_TOL = 1e-12
 
 
+def _refuse_non_finite(d) -> None:
+    """Raise DomainError when a field of descriptor d, or an entry of one
+    of its pair lists, is NaN or infinite."""
+    for name, value in vars(d).items():
+        if isinstance(value, tuple):
+            finite = all(math.isfinite(x) for pair in value for x in pair)
+        else:
+            finite = math.isfinite(value)
+        if not finite:
+            raise DomainError(f"{type(d).__name__} {name} must be finite, got {value}")
+
+
 class _Descriptor:
     """Shared behavior: closed-form evaluation plus contour metadata."""
 
@@ -97,6 +110,7 @@ class GammaPower(_Descriptor):
     beta: float
 
     def __post_init__(self):
+        _refuse_non_finite(self)
         if not (self.alpha > 0 and self.beta > 0):
             raise DomainError(f"GammaPower requires alpha, beta > 0, got {self}")
 
@@ -119,6 +133,7 @@ class LaplaceDensity(_Descriptor):
     beta: float
 
     def __post_init__(self):
+        _refuse_non_finite(self)
         if not self.beta > 0:
             raise DomainError(f"LaplaceDensity requires beta > 0, got {self}")
 
@@ -150,6 +165,7 @@ class ResidualProduct(_Descriptor):
     def __post_init__(self):
         object.__setattr__(self, "plus", tuple((float(a), float(b)) for a, b in self.plus))
         object.__setattr__(self, "minus", tuple((float(a), float(b)) for a, b in self.minus))
+        _refuse_non_finite(self)
         if not (self.plus or self.minus):
             raise DomainError("ResidualProduct needs at least one factor")
         for a, b in (*self.plus, *self.minus):
@@ -220,6 +236,7 @@ class MLBasic(_PowerOfP):
     n0: float = 1.0
 
     def __post_init__(self):
+        _refuse_non_finite(self)
         if not (self.c > 0 and self.nu > 0):
             raise DomainError(f"MLBasic requires c, nu > 0, got {self}")
 
@@ -242,6 +259,7 @@ class MLGeneral(_PowerOfP):
     n0: float = 1.0
 
     def __post_init__(self):
+        _refuse_non_finite(self)
         if not (self.c > 0 and self.nu > 0 and self.mu > 0):
             raise DomainError(f"MLGeneral requires c, nu, mu > 0, got {self}")
         if self.gamma <= -1:
@@ -270,6 +288,7 @@ class TwoRateProduct(_PowerOfP):
     n0: float = 1.0
 
     def __post_init__(self):
+        _refuse_non_finite(self)
         if not (self.c > 0 and self.d > 0 and self.nu > 0 and self.mu > 0):
             raise DomainError(f"TwoRateProduct requires c, d, nu, mu > 0, got {self}")
 
@@ -295,6 +314,7 @@ class _ThreeTermBase(_PowerOfP):
     beta: float
 
     def __post_init__(self):
+        _refuse_non_finite(self)
         if not (self.alpha > self.beta >= 0):
             raise DomainError(f"three-term transform requires alpha > beta >= 0, got {self}")
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import ceil, pi, sqrt
+from math import inf, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -55,7 +55,8 @@ class RDProblem:
 
     n0 and n1 sample the initial field and its time derivative on the
     uniform grid x_j = j * length / M, where M = len(n0) must be a
-    power of two. times are the output instants.
+    power of two. times are the output instants. Every number must be
+    finite; a NaN or infinite one raises DomainError.
     """
 
     a: float
@@ -67,10 +68,12 @@ class RDProblem:
     times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.nu2 <= 0.0:
-            raise DomainError(f"nu2 must be positive, got {self.nu2}")
-        if self.length <= 0.0:
-            raise DomainError(f"domain length must be positive, got {self.length}")
+        if not (isfinite(self.a) and isfinite(self.xi)):
+            raise DomainError(f"a and xi must be finite, got a={self.a}, xi={self.xi}")
+        if not 0.0 < self.nu2 < inf:
+            raise DomainError(f"nu2 must be positive and finite, got {self.nu2}")
+        if not 0.0 < self.length < inf:
+            raise DomainError(f"domain length must be positive and finite, got {self.length}")
         n0 = np.asarray(self.n0, dtype=float)
         n1 = np.asarray(self.n1, dtype=float)
         if n0.ndim != 1 or n0.shape != n1.shape:
@@ -83,6 +86,8 @@ class RDProblem:
         times = tuple(float(t) for t in self.times)
         if not times:
             raise DomainError("at least one output time is required")
+        if not all(isfinite(t) for t in times):
+            raise DomainError(f"output times must be finite, got {times}")
         if times[0] < 0.0 or any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise DomainError("output times must be nonnegative and strictly increasing")
         object.__setattr__(self, "n0", n0)
@@ -169,8 +174,8 @@ def rd_solve_spectral(problem: RDProblem) -> RDSolution:
 
 def rd_solve_fd(problem: RDProblem, dt: float) -> RDSolution:
     """Reference solver: centered differences in time and space."""
-    if dt <= 0.0:
-        raise DomainError(f"time step must be positive, got {dt}")
+    if not 0.0 < dt < inf:
+        raise DomainError(f"time step must be positive and finite, got {dt}")
     dx = problem.length / problem.modes
     if dt > dx / sqrt(problem.nu2):
         raise StabilityError(

@@ -228,8 +228,8 @@ class WrightParams:
     construction.
     """
 
-    upper: tuple[tuple[float, float], ...]
-    lower: tuple[tuple[float, float], ...]
+    upper: tuple[tuple[float, float], ...] = ()
+    lower: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "upper", tuple((float(a), float(aa)) for a, aa in self.upper))

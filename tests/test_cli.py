@@ -386,6 +386,74 @@ class TestSpecValidation:
         err = json.loads(captured.err)["error"]
         assert (err["kind"], err["type"]) == ("spec", "DomainError")
 
+    RD_PARAMS = {"nu2": 1.0, "length": 2.0 * math.pi, "n0": [1.0, 0.0, -1.0, 0.0],
+                 "n1": [0.0] * 4}
+
+    # a NaN or infinite number, each refused by the record its task builds
+    # (rd-solve's dt by the task itself) before anything is computed
+    NON_FINITE = {
+        "kinetic-n0": ("solve-kinetic", {"kind": "basic", "n0": math.nan, "c": 1.0, "nu": 0.5}),
+        "kinetic-d": ("verify", {"kind": "two-rate", "n0": 1.0, "c": 1.0, "nu": 0.5,
+                                 "mu": 1.5, "d": math.inf}),
+        "laplace-density": ("invert-lt", {"descriptor": {"kind": "LaplaceDensity",
+                                                         "beta": math.inf}}),
+        "ml-basic": ("invert-lt", {"descriptor": {"kind": "MLBasic", "c": 1.0, "nu": 0.5,
+                                                  "n0": math.nan}}),
+        "gamma-power": ("invert-lt", {"descriptor": {"kind": "GammaPower",
+                                                     "alpha": math.inf, "beta": 1.0}}),
+        "residual-product": ("invert-lt", {"descriptor": {"kind": "ResidualProduct",
+                                                          "plus": [[1.0, math.inf]]}}),
+        "three-term": ("invert-three-term", {"alpha": 1.5, "beta": 0.5, "a": math.nan,
+                                             "b": 1.0}),
+        "rd-nu2": ("rd-solve", {**RD_PARAMS, "nu2": math.nan}),
+        "rd-dt": ("rd-solve", {**RD_PARAMS, "solver": "fd", "dt": math.nan}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_number_is_spec_error(self, tmp_path, capsys, case):
+        task, params = self.NON_FINITE[case]
+        spec = {"version": "1", "parameters": params,
+                "grid": {"start": 1.0, "stop": 1.0, "n": 1}}
+        assert main([task, "--spec", write_spec(tmp_path, spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "spec"
+        assert "finite" in err["message"]
+
+    @pytest.mark.parametrize("task, params, message", [
+        ("eval-ml", {"mu": 2.0}, "eval-ml is missing 'nu'"),
+        ("solve-kinetic", {"kind": "basic", "n0": 1.0, "nu": 0.5},
+         "the kinetic problem is missing 'c'"),
+        ("invert-lt", {"descriptor": {"kind": "GammaPower", "alpha": 1.0}},
+         "GammaPower is missing 'beta'"),
+        ("invert-lt", {"descriptor": {"kind": "GammaPower", "alpha": 1.0, "beta": 1.0,
+                                      "gamma": 1.0}},
+         "unknown parameter(s) for GammaPower: gamma"),
+        ("invert-three-term", {"alpha": 2.0, "beta": 1.0, "a": 0.6},
+         "invert-three-term is missing 'b'"),
+    ], ids=["ml", "kinetic", "descriptor-missing", "descriptor-unknown", "three-term"])
+    def test_record_names_missing_or_unknown_key(self, tmp_path, capsys, task, params,
+                                                 message):
+        spec = {"version": "1", "parameters": params,
+                "grid": {"start": 1.0, "stop": 1.0, "n": 1}}
+        assert main([task, "--spec", write_spec(tmp_path, spec)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["message"]) == ("spec", message)
+
+    @pytest.mark.parametrize("task, params", [
+        ("invert-lt", {"descriptor": {"kind": ["GammaPower"], "alpha": 1.0, "beta": 1.0}}),
+        ("rd-solve", {**RD_PARAMS, "n0": ["1.0", 0.0, -1.0, 0.0]}),
+        ("eval-ml", {"nu": 10**400}),
+    ], ids=["descriptor-kind", "rd-samples", "huge-integer"])
+    def test_malformed_value_is_spec_error(self, tmp_path, capsys, task, params):
+        # each once escaped as a TypeError, ValueError or OverflowError
+        # traceback, exit 1
+        spec = {"version": "1", "parameters": params,
+                "grid": {"start": 1.0, "stop": 1.0, "n": 1}}
+        assert main([task, "--spec", write_spec(tmp_path, spec)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "spec"
+
     # every task that reads --tol, with parameters it accepts
     TOL_TASKS = {
         "eval-ml": {"nu": 1.0},

@@ -59,6 +59,22 @@ class TestKineticProblem:
         with pytest.raises(DomainError):
             KineticProblem(ProblemKind.ML_SOURCE, n0=1.0, c=1.0, nu=0.5, mu=0.9)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["n0", "c", "nu", "mu", "gamma", "d"])
+    def test_non_finite_refused(self, field, value):
+        # each field on a kind it applies to, every other field valid
+        kind = {"gamma": ProblemKind.ML_GAMMA_SOURCE,
+                "d": ProblemKind.TWO_RATE}.get(field, ProblemKind.POWER_SOURCE)
+        params = {"n0": 1.0, "c": 1.0, "nu": 0.5, "mu": 1.5, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            KineticProblem(kind, **params)
+
+    def test_basic_refuses_mu(self):
+        # the basic source is n0 t**(mu-1) at mu = 1; another mu was ignored
+        with pytest.raises(DomainError, match="mu = 1"):
+            KineticProblem(ProblemKind.BASIC, n0=1.0, c=1.0, nu=0.5, mu=1.5)
+        KineticProblem(ProblemKind.BASIC, n0=1.0, c=1.0, nu=0.5, mu=1.0)
+
 
 class TestSolveStructure:
     def test_basic_single_term(self):

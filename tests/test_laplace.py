@@ -115,6 +115,25 @@ class TestLtEval:
             ThreeTermBeta(a=1.0, b=1.0, alpha=1.0, beta=-0.2)
         with pytest.raises(DomainError):
             ResidualProduct(plus=(), minus=())
+        # NaN and infinite fields; once accepted, they evaluated to 0j or nan
+        with pytest.raises(DomainError):
+            GammaPower(alpha=math.inf, beta=1.0)
+        with pytest.raises(DomainError):
+            LaplaceDensity(beta=math.inf)
+        with pytest.raises(DomainError):
+            MLBasic(c=1.0, nu=0.5, n0=math.nan)
+        with pytest.raises(DomainError):
+            MLGeneral(c=1.0, nu=0.5, mu=1.0, gamma=math.nan)
+        with pytest.raises(DomainError):
+            TwoRateProduct(c=1.0, d=math.inf, nu=0.5, mu=1.0)
+        with pytest.raises(DomainError):
+            ResidualProduct(plus=((1.0, 0.5),), minus=((math.nan, 0.5),))
+        with pytest.raises(DomainError):
+            ThreeTermAlpha(a=math.nan, b=1.0, alpha=1.5, beta=0.5)
+        with pytest.raises(DomainError):
+            ThreeTermBeta(a=1.0, b=math.inf, alpha=1.5, beta=0.5)
+        with pytest.raises(DomainError):
+            ThreeTermAlpha(a=1.0, b=1.0, alpha=math.inf, beta=0.5)
 
     @given(
         alpha=st.floats(0.2, 4.0),

@@ -50,6 +50,20 @@ class TestRDProblem:
         with pytest.raises(DomainError):
             make_problem(times=(-1.0, 0.5))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["a", "nu2", "xi", "length"])
+    def test_non_finite_refused(self, field, value):
+        kwargs = dict(a=0.0, nu2=1.0, xi=0.0, length=L, n0=np.zeros(4), n1=np.zeros(4),
+                      times=(1.0,))
+        kwargs[field] = value
+        with pytest.raises(DomainError, match="finite"):
+            RDProblem(**kwargs)
+
+    @pytest.mark.parametrize("times", [(math.nan,), (0.5, math.nan), (0.5, math.inf)])
+    def test_non_finite_times_refused(self, times):
+        with pytest.raises(DomainError, match="finite"):
+            make_problem(times=times)
+
     def test_geometry(self):
         pr = make_problem(m=8)
         assert pr.modes == 8
@@ -182,6 +196,12 @@ class TestFiniteDifference:
             rd_solve_fd(pr, dt=0.5)
         with pytest.raises(DomainError):
             rd_solve_fd(pr, dt=-0.1)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_step_refused(self, dt):
+        # NaN once reached int(round(t / dt)) and raised an untyped ValueError
+        with pytest.raises(DomainError, match="time step"):
+            rd_solve_fd(make_problem(m=16), dt)
 
     def test_time_alignment(self):
         pr = make_problem(m=16, times=(1.0,))
