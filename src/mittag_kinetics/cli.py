@@ -13,15 +13,19 @@ Tasks are driven by a JSON spec file (schema version "1"):
 The task named on the command line must match the spec when the spec
 names one. A task's parameter keys are the fields of the frozen record
 it builds (``_record`` reads them from its dataclass fields) plus the
-task's own keys, such as invert-lt's "descriptor.kind" and "nodes";
-rd-solve reads RDProblem itself. Names, defaults and value checks live
-in the records, which refuse NaN and infinite numbers.
+task's own keys, such as invert-lt's "descriptor.kind" and "nodes".
+Names, defaults and value checks live in the records, which refuse NaN
+and infinite numbers. Each kind of spec value has one reader: numbers
+``_as_float``, counts ``_as_int`` (grid n up to 100,000, nodes up to
+1,024), names in a fixed table ``_choice``, lists ``_pair_list`` and
+``_samples``.
 
-Every parameter is validated before any computation starts;
-malformed specs exit with status 2 and a JSON error object on stderr,
-numerical failures exit with status 3, success with 0. Output goes to
-the spec path, the --out override, or stdout, with numbers rendered at
-17 significant digits so reruns are byte-identical.
+Every parameter and the output path are validated before any
+computation starts; malformed specs and unusable output paths exit with
+status 2 and a JSON error object on stderr, numerical failures exit with
+status 3, success with 0. Output goes to the --out override, the spec
+path, or stdout, with numbers rendered at 17 significant digits so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -59,6 +64,12 @@ from .reaction_diffusion import RDProblem, rd_solve_fd, rd_solve_spectral
 # invert-three-term "numerator" values and the catalog kinds they name
 _NUMERATORS = {"alpha-minus-one": ThreeTermAlpha, "beta-minus-one": ThreeTermBeta}
 
+_KINETIC_KINDS = {kind.value: kind for kind in ProblemKind}
+
+# largest grid n and nodes; at 1,024 nodes the mpmath stage sums 2,048 at ~380 digits
+_MAX_GRID_POINTS = 100_000
+_MAX_NODES = 1_024
+
 # record fields read from the spec as lists of [a, b] pairs; every other
 # field is read as a number
 _PAIR_FIELDS = frozenset({"plus", "minus", "upper", "lower"})
@@ -77,6 +88,21 @@ def _as_float(obj, what: str) -> float:
         return float(obj)
     except OverflowError:  # an integer literal beyond float range
         raise SpecError(f"{what} is beyond float range") from None
+
+
+def _as_int(obj, what: str, least: int, most: int | None = None) -> int:
+    if (isinstance(obj, bool) or not isinstance(obj, int) or obj < least
+            or (most is not None and obj > most)):
+        span = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise SpecError(f"{what} must be an integer {span}, got {obj!r}")
+    return obj
+
+
+def _choice(table: dict, name, what: str):
+    """``table[name]``, or SpecError naming the choices."""
+    if isinstance(name, str) and name in table:
+        return table[name]
+    raise SpecError(f"{what} must be one of {', '.join(table)}, got {name!r}")
 
 
 def _check_keys(params: dict, allowed: set[str], task: str) -> None:
@@ -114,9 +140,8 @@ def _parse_grid_flag(text: str) -> list[float]:
     return _make_grid(start, stop, n)
 
 
-def _make_grid(start: float, stop: float, n: int) -> list[float]:
-    if n < 1:
-        raise SpecError(f"grid needs at least one point, got n={n}")
+def _make_grid(start: float, stop: float, n) -> list[float]:
+    n = _as_int(n, "grid n", 1, _MAX_GRID_POINTS)
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise SpecError("grid bounds must be finite")
     if n == 1:
@@ -136,11 +161,8 @@ def _grid_of(spec: dict, override: str | None) -> list[float]:
     for key in ("start", "stop", "n"):
         if key not in grid:
             raise SpecError(f"grid is missing {key!r}")
-    n = grid["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise SpecError(f"grid n must be an integer, got {n!r}")
     return _make_grid(
-        _as_float(grid["start"], "grid start"), _as_float(grid["stop"], "grid stop"), n
+        _as_float(grid["start"], "grid start"), _as_float(grid["stop"], "grid stop"), grid["n"]
     )
 
 
@@ -173,6 +195,12 @@ def _pair_list(obj, what: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
+def _samples(obj, what: str) -> np.ndarray:
+    if not isinstance(obj, list):
+        raise SpecError(f"rd-solve needs {what!r} as a list of samples")
+    return np.array([_as_float(v, what) for v in obj])
+
+
 def _record(cls, params: dict, what: str, **given):
     """The frozen record ``cls(**given, ...)`` with its other fields read
     from the spec object ``params``.
@@ -194,12 +222,7 @@ def _record(cls, params: dict, what: str, **given):
 
 def _kinetic_problem(params: dict) -> KineticProblem:
     fields = dict(params)
-    name = fields.pop("kind", None)
-    try:
-        kind = ProblemKind(name)
-    except ValueError:
-        choices = ", ".join(k.value for k in ProblemKind)
-        raise SpecError(f"kinetic kind must be one of {choices}, got {name!r}") from None
+    kind = _choice(_KINETIC_KINDS, fields.pop("kind", None), "kinetic kind")
     return _record(KineticProblem, fields, "the kinetic problem", kind=kind)
 
 
@@ -231,22 +254,15 @@ def _build_solve_kinetic(params: dict, grid: list[float], tol: float | None):
 def _build_invert_lt(params: dict, grid: list[float], tol: float | None):
     _check_keys(params, {"descriptor", "nodes"}, "invert-lt")
     desc = params.get("descriptor")
-    if not isinstance(desc, dict) or "kind" not in desc:
+    if not isinstance(desc, dict):
         raise SpecError("invert-lt needs a descriptor object with a \"kind\"")
     fields = dict(desc)
-    name = fields.pop("kind")
-    cls = DESCRIPTOR_KINDS.get(name) if isinstance(name, str) else None
-    if cls is None:
-        raise SpecError(
-            f"unknown descriptor kind {name!r}; known: {', '.join(sorted(DESCRIPTOR_KINDS))}"
-        )
-    descriptor = _record(cls, fields, name)
+    cls = _choice(DESCRIPTOR_KINDS, fields.pop("kind", None), "descriptor kind")
+    descriptor = _record(cls, fields, cls.__name__)
     target = _tol_or(tol, 1e-8)
     # nodes is M of the mpmath fixed-Talbot stage (M and 2M nodes); the
     # double-precision stage tried first always sums at 32 and 64
-    nodes = params.get("nodes", 64)
-    if isinstance(nodes, bool) or not isinstance(nodes, int):
-        raise SpecError(f"nodes must be an integer, got {nodes!r}")
+    nodes = _as_int(params.get("nodes", 64), "nodes", 16, _MAX_NODES)
     cfg = InversionConfig(M=nodes, precision_target=target)
     _positive_grid(grid, "inversion")
 
@@ -258,15 +274,9 @@ def _build_invert_lt(params: dict, grid: list[float], tol: float | None):
 
 def _build_invert_three_term(params: dict, grid: list[float], tol: float | None):
     fields = dict(params)
-    numerator = fields.pop("numerator", "alpha-minus-one")
-    outer = fields.pop("outer_terms", 64)
-    kind = _NUMERATORS.get(numerator) if isinstance(numerator, str) else None
-    if kind is None:
-        choices = ", ".join(_NUMERATORS)
-        raise SpecError(f"numerator must be one of {choices}, got {numerator!r}")
+    kind = _choice(_NUMERATORS, fields.pop("numerator", "alpha-minus-one"), "numerator")
+    outer = _as_int(fields.pop("outer_terms", 64), "outer_terms", 1)
     d = _record(kind, fields, "invert-three-term")
-    if isinstance(outer, bool) or not isinstance(outer, int) or outer < 1:
-        raise SpecError(f"outer_terms must be a positive integer, got {outer!r}")
     cfg = _series_config(tol)
     _positive_grid(grid, "inversion")
 
@@ -277,37 +287,20 @@ def _build_invert_three_term(params: dict, grid: list[float], tol: float | None)
 
 
 def _build_rd_solve(params: dict, grid: list[float], tol: float | None):
-    _check_keys(params, {"a", "nu2", "xi", "length", "n0", "n1", "solver", "dt"}, "rd-solve")
-    solver = params.get("solver", "spectral")
-    if solver not in ("spectral", "fd"):
-        raise SpecError(f"solver must be \"spectral\" or \"fd\", got {solver!r}")
-    samples = {}
-    for key in ("n0", "n1"):
-        values = params.get(key)
-        if not isinstance(values, list):
-            raise SpecError(f"rd-solve needs {key!r} as a list of samples")
-        samples[key] = np.array([_as_float(v, key) for v in values])
-    problem = RDProblem(
-        a=_as_float(params.get("a", 0.0), "a"),
-        nu2=_as_float(params.get("nu2"), "nu2"),
-        xi=_as_float(params.get("xi", 0.0), "xi"),
-        length=_as_float(params.get("length"), "length"),
-        n0=samples["n0"],
-        n1=samples["n1"],
-        times=tuple(grid),
-    )
-    dt = None
-    if solver == "fd":
-        if "dt" not in params:
-            raise SpecError("the fd solver needs a dt parameter")
-        dt = _as_float(params["dt"], "dt")
+    fields = dict(params)
+    stepped = _choice({"spectral": False, "fd": True}, fields.pop("solver", "spectral"), "solver")
+    dt = fields.pop("dt", None)
+    samples = {key: _samples(fields.pop(key, None), key) for key in ("n0", "n1")}
+    problem = _record(RDProblem, fields, "rd-solve", times=tuple(grid), **samples)
+    if stepped != (dt is not None):
+        raise SpecError("the fd solver needs a dt parameter, and dt only applies to it")
+    if stepped:
+        dt = _as_float(dt, "dt")
         if not 0.0 < dt < math.inf:
             raise SpecError(f"dt must be positive and finite, got {dt}")
-    elif "dt" in params:
-        raise SpecError("dt only applies to the fd solver")
 
     def compute() -> tuple[Rows, Meta]:
-        sol = rd_solve_spectral(problem) if solver == "spectral" else rd_solve_fd(problem, dt)
+        sol = rd_solve_fd(problem, dt) if stepped else rd_solve_spectral(problem)
         rows = []
         for row, t in enumerate(sol.times):
             for j, x in enumerate(sol.x):
@@ -368,20 +361,21 @@ def _json_text(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_text(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
     if isinstance(obj, float):
         return _sig17(obj)
     return json.dumps(obj)
 
 
-def _render(task: str, columns: list[str], rows: Rows, fmt: str) -> str:
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_sig17(v) for v in row) for row in rows)
-        return "\n".join(lines) + "\n"
-    payload = {"version": "1", "task": task, "columns": columns, "rows": rows}
-    return _json_text(payload) + "\n"
+def _render_csv(task: str, columns: list[str], rows: Rows) -> str:
+    lines = [",".join(columns)] + [",".join(_sig17(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _render_json(task: str, columns: list[str], rows: Rows) -> str:
+    return _json_text({"version": "1", "task": task, "columns": columns, "rows": rows}) + "\n"
+
+
+_FORMATS = {"csv": _render_csv, "json": _render_json}
 
 
 def _emit_error(kind: str, exc: BaseException) -> None:
@@ -401,7 +395,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(task)
         p.add_argument("--spec", required=True, help="JSON problem spec file")
         p.add_argument("--out", help="output path (default: spec output.path or stdout)")
-        p.add_argument("--format", choices=("csv", "json"), dest="fmt",
+        p.add_argument("--format", choices=tuple(_FORMATS), dest="fmt",
                        help="output format (default: spec output.format or csv)")
         p.add_argument("--tol", type=float,
                        help="numerical tolerance where the task has one")
@@ -424,10 +418,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not isinstance(output, dict):
             raise SpecError("output must be a JSON object")
         _check_keys(output, {"format", "path"}, "the output object")
-        fmt = args.fmt or output.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise SpecError(f"output format must be csv or json, got {fmt!r}")
-        path = args.out or output.get("path")
+        render = _choice(_FORMATS, args.fmt or output.get("format", "csv"), "output format")
+        path = args.out if args.out is not None else output.get("path")
+        if path is not None and not (isinstance(path, str) and path):
+            raise SpecError(f"output path must be a non-empty string, got {path!r}")
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise SpecError(f"the directory of output path {path!r} does not exist")
         columns, compute = _BUILDERS[args.task](params, grid, args.tol)
     except MittagKineticsError as exc:
         _emit_error("spec", exc)
@@ -439,12 +435,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         _emit_error("numerical", exc)
         return 3
 
-    text = _render(args.task, columns, rows, fmt)
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    text = render(args.task, columns, rows)
+    if path is None:
         sys.stdout.write(text)
+    else:
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _emit_error("spec", exc)
+            return 2
 
     if meta is not None:
         print(

@@ -1,4 +1,10 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the
+finiteness rule of its frozen records."""
+
+import math
+from enum import Enum
+
+import numpy as np
 
 
 class MittagKineticsError(Exception):
@@ -39,3 +45,18 @@ class SpecError(MittagKineticsError):
 
 class InstabilityWarning(UserWarning):
     """A retained spatial mode has a negative stiffness and will grow in time."""
+
+
+def refuse_non_finite(record) -> None:
+    """Raise DomainError when a field of the frozen record ``record`` is a
+    NaN or infinite number or holds one: a tuple of numbers or of pairs,
+    or an ndarray.  None, enum and integer fields pass."""
+    for name, value in vars(record).items():
+        if isinstance(value, float):  # first: the only kind hot records hold
+            finite = math.isfinite(value)
+        elif isinstance(value, (tuple, np.ndarray)):
+            finite = np.isfinite(np.asarray(value, dtype=float)).all()
+        else:
+            finite = value is None or isinstance(value, (Enum, int)) or math.isfinite(value)
+        if not finite:
+            raise DomainError(f"{type(record).__name__} {name} must be finite, got {value}")

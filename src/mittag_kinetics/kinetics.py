@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, PoleError, TieError
+from .errors import DomainError, NonConvergence, PoleError, TieError, refuse_non_finite
 from .laplace import (
     MLBasic,
     MLGeneral,
@@ -102,10 +102,7 @@ class KineticProblem:
     d: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("n0", "c", "nu", "mu", "gamma", "d"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
+        refuse_non_finite(self)
         # n0 = 0 is the empty system; kept legal so zero solutions can
         # round-trip through residual certification
         if self.n0 < 0.0:
@@ -213,10 +210,8 @@ def solve(problem: KineticProblem) -> SolutionSeries:
     n0, nu, mu = problem.n0, problem.nu, problem.mu
     c_nu = problem.c**nu
     kind = problem.kind
-    if kind is ProblemKind.BASIC:
-        terms = (SeriesTerm(n0, 0.0, MLParams(nu=nu), c_nu),)
-        return SolutionSeries(terms)
-    if kind is ProblemKind.POWER_SOURCE:
+    if kind in (ProblemKind.BASIC, ProblemKind.POWER_SOURCE):
+        # basic is the power source at mu = 1: n0 Gamma(1) t^0 is n0 exactly
         terms = (SeriesTerm(n0 * math.gamma(mu), mu - 1.0, MLParams(nu=nu, mu=mu), c_nu),)
         return SolutionSeries(terms)
     if kind is ProblemKind.ML_GAMMA_SOURCE:
@@ -264,19 +259,14 @@ def source_term(problem: KineticProblem, t: float,
     """Evaluate the driving source of the kinetic equation at time t."""
     if t <= 0.0:
         raise DomainError(f"source evaluation needs t > 0, got {t}")
-    n0, nu, mu = problem.n0, problem.nu, problem.mu
+    nu, mu = problem.nu, problem.mu
     kind = problem.kind
-    if kind is ProblemKind.BASIC:
-        return n0
-    prefactor = n0 * t ** (mu - 1.0)
-    if kind is ProblemKind.POWER_SOURCE:
+    prefactor = problem.n0 * t ** (mu - 1.0)
+    if kind in (ProblemKind.BASIC, ProblemKind.POWER_SOURCE):
         return prefactor
-    if kind is ProblemKind.ML_GAMMA_SOURCE:
-        ml = MLParams(nu=nu, mu=mu, gamma=problem.gamma)
-        return prefactor * ml_eval(ml, -(problem.c**nu) * t**nu, cfg)
-    if kind is ProblemKind.ML_SOURCE:
-        return prefactor * ml_eval(MLParams(nu=nu, mu=mu), -(problem.c**nu) * t**nu, cfg)
-    return prefactor * ml_eval(MLParams(nu=nu, mu=mu), -(problem.d**nu) * t**nu, cfg)
+    rate = problem.d if kind is ProblemKind.TWO_RATE else problem.c
+    gamma = problem.gamma if kind is ProblemKind.ML_GAMMA_SOURCE else 1.0
+    return prefactor * ml_eval(MLParams(nu=nu, mu=mu, gamma=gamma), -(rate**nu) * t**nu, cfg)
 
 
 def partial_fraction_split(c: float, d: float, nu: float, p: complex) -> tuple[complex, complex]:

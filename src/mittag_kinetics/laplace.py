@@ -52,22 +52,16 @@ from typing import Callable, Sequence, Union, get_args
 
 import mpmath as mp
 
-from .errors import DomainError, InversionFailure, PoleError, QuadratureFailure
+from .errors import (
+    DomainError,
+    InversionFailure,
+    PoleError,
+    QuadratureFailure,
+    refuse_non_finite,
+)
 
 #: Relative tolerance below which a denominator counts as a pole hit.
 _DEN_TOL = 1e-12
-
-
-def _refuse_non_finite(d) -> None:
-    """Raise DomainError when a field of descriptor d, or an entry of one
-    of its pair lists, is NaN or infinite."""
-    for name, value in vars(d).items():
-        if isinstance(value, tuple):
-            finite = all(math.isfinite(x) for pair in value for x in pair)
-        else:
-            finite = math.isfinite(value)
-        if not finite:
-            raise DomainError(f"{type(d).__name__} {name} must be finite, got {value}")
 
 
 class _Descriptor:
@@ -110,7 +104,7 @@ class GammaPower(_Descriptor):
     beta: float
 
     def __post_init__(self):
-        _refuse_non_finite(self)
+        refuse_non_finite(self)
         if not (self.alpha > 0 and self.beta > 0):
             raise DomainError(f"GammaPower requires alpha, beta > 0, got {self}")
 
@@ -133,7 +127,7 @@ class LaplaceDensity(_Descriptor):
     beta: float
 
     def __post_init__(self):
-        _refuse_non_finite(self)
+        refuse_non_finite(self)
         if not self.beta > 0:
             raise DomainError(f"LaplaceDensity requires beta > 0, got {self}")
 
@@ -165,7 +159,7 @@ class ResidualProduct(_Descriptor):
     def __post_init__(self):
         object.__setattr__(self, "plus", tuple((float(a), float(b)) for a, b in self.plus))
         object.__setattr__(self, "minus", tuple((float(a), float(b)) for a, b in self.minus))
-        _refuse_non_finite(self)
+        refuse_non_finite(self)
         if not (self.plus or self.minus):
             raise DomainError("ResidualProduct needs at least one factor")
         for a, b in (*self.plus, *self.minus):
@@ -236,7 +230,7 @@ class MLBasic(_PowerOfP):
     n0: float = 1.0
 
     def __post_init__(self):
-        _refuse_non_finite(self)
+        refuse_non_finite(self)
         if not (self.c > 0 and self.nu > 0):
             raise DomainError(f"MLBasic requires c, nu > 0, got {self}")
 
@@ -259,7 +253,7 @@ class MLGeneral(_PowerOfP):
     n0: float = 1.0
 
     def __post_init__(self):
-        _refuse_non_finite(self)
+        refuse_non_finite(self)
         if not (self.c > 0 and self.nu > 0 and self.mu > 0):
             raise DomainError(f"MLGeneral requires c, nu, mu > 0, got {self}")
         if self.gamma <= -1:
@@ -288,7 +282,7 @@ class TwoRateProduct(_PowerOfP):
     n0: float = 1.0
 
     def __post_init__(self):
-        _refuse_non_finite(self)
+        refuse_non_finite(self)
         if not (self.c > 0 and self.d > 0 and self.nu > 0 and self.mu > 0):
             raise DomainError(f"TwoRateProduct requires c, d, nu, mu > 0, got {self}")
 
@@ -314,7 +308,7 @@ class _ThreeTermBase(_PowerOfP):
     beta: float
 
     def __post_init__(self):
-        _refuse_non_finite(self)
+        refuse_non_finite(self)
         if not (self.alpha > self.beta >= 0):
             raise DomainError(f"three-term transform requires alpha > beta >= 0, got {self}")
 
@@ -468,12 +462,14 @@ class InversionConfig:
     """Contour inversion settings: the node count M of the mpmath
     fixed-Talbot stage (it sums at M and 2M nodes; the double-precision
     stage always uses 32 and 64) and the accuracy target that both stages'
-    node-doubling self-checks use."""
+    node-doubling self-checks use; an infinite target, which would pass
+    every check, raises DomainError."""
 
     M: int = 64
     precision_target: float = 1e-8
 
     def __post_init__(self):
+        refuse_non_finite(self)
         if self.M < 16:
             raise DomainError(f"M must be at least 16, got {self.M}")
         if not self.precision_target > 0:

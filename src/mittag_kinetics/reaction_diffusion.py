@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import inf, isfinite, pi, sqrt
+from math import inf, pi, sqrt
 
 import numpy as np
 
-from .errors import DomainError, StabilityError
+from .errors import DomainError, StabilityError, refuse_non_finite
 from .errors import InstabilityWarning
 from .kinetics import invert_three_term
 from .laplace import ThreeTermAlpha, ThreeTermBeta
@@ -49,50 +49,43 @@ class ModeInfo:
     b: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RDProblem:
     """Periodic initial-value problem for the damped wave-growth equation.
 
     n0 and n1 sample the initial field and its time derivative on the
     uniform grid x_j = j * length / M, where M = len(n0) must be a
-    power of two. times are the output instants. Every number must be
-    finite; a NaN or infinite one raises DomainError.
+    power of two. times are the output instants. The damping a and the
+    growth rate xi default to 0; every field is given by keyword. Every
+    number must be finite; a NaN or infinite one raises DomainError.
     """
 
-    a: float
+    a: float = 0.0
     nu2: float
-    xi: float
+    xi: float = 0.0
     length: float
     n0: np.ndarray
     n1: np.ndarray
     times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (isfinite(self.a) and isfinite(self.xi)):
-            raise DomainError(f"a and xi must be finite, got a={self.a}, xi={self.xi}")
-        if not 0.0 < self.nu2 < inf:
-            raise DomainError(f"nu2 must be positive and finite, got {self.nu2}")
-        if not 0.0 < self.length < inf:
-            raise DomainError(f"domain length must be positive and finite, got {self.length}")
-        n0 = np.asarray(self.n0, dtype=float)
-        n1 = np.asarray(self.n1, dtype=float)
-        if n0.ndim != 1 or n0.shape != n1.shape:
+        object.__setattr__(self, "n0", np.asarray(self.n0, dtype=float))
+        object.__setattr__(self, "n1", np.asarray(self.n1, dtype=float))
+        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        refuse_non_finite(self)
+        if not self.nu2 > 0.0:
+            raise DomainError(f"nu2 must be positive, got {self.nu2}")
+        if not self.length > 0.0:
+            raise DomainError(f"domain length must be positive, got {self.length}")
+        if self.n0.ndim != 1 or self.n0.shape != self.n1.shape:
             raise DomainError("initial field and velocity must be 1-d arrays of equal length")
-        m = n0.shape[0]
+        m = self.n0.shape[0]
         if m < 2 or m & (m - 1):
             raise DomainError(f"grid size must be a power of two >= 2, got {m}")
-        if not (np.all(np.isfinite(n0)) and np.all(np.isfinite(n1))):
-            raise DomainError("initial data must be finite")
-        times = tuple(float(t) for t in self.times)
-        if not times:
+        if not self.times:
             raise DomainError("at least one output time is required")
-        if not all(isfinite(t) for t in times):
-            raise DomainError(f"output times must be finite, got {times}")
-        if times[0] < 0.0 or any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+        if self.times[0] < 0.0 or any(t1 <= t0 for t0, t1 in zip(self.times, self.times[1:])):
             raise DomainError("output times must be nonnegative and strictly increasing")
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "n1", n1)
-        object.__setattr__(self, "times", times)
 
     @property
     def modes(self) -> int:

@@ -99,7 +99,7 @@ import mpmath as mp
 import numpy as np
 from scipy.special import gammaln, gammasgn
 
-from .errors import DomainError, NonConvergence, PoleError
+from .errors import DomainError, NonConvergence, PoleError, refuse_non_finite
 
 #: Absolute tolerance used to decide that a Gamma argument sits on a pole.
 _POLE_TOL = 1e-12
@@ -234,8 +234,7 @@ class WrightParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "upper", tuple((float(a), float(aa)) for a, aa in self.upper))
         object.__setattr__(self, "lower", tuple((float(b), float(bb)) for b, bb in self.lower))
-        if not all(math.isfinite(x) for pair in self.upper + self.lower for x in pair):
-            raise DomainError(f"Wright parameters must be finite, got {self.upper}, {self.lower}")
+        refuse_non_finite(self)
         margin = 1.0 + sum(bb for _, bb in self.lower) - sum(aa for _, aa in self.upper)
         if margin < 0:
             raise DomainError(

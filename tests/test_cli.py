@@ -60,6 +60,45 @@ class TestSolveKinetic:
         assert target.exists()
 
 
+class TestOutputPath:
+    # the three-term spec fails numerically (exit 3) once computed, so
+    # exit 2 shows the path was refused before any computation
+    DIVERGENT = {"version": "1", "task": "invert-three-term",
+                 "parameters": {"alpha": 1.5, "beta": 0.5, "a": 8.0, "b": 1.0},
+                 "grid": {"start": 3.0, "stop": 3.0, "n": 1}}
+
+    @pytest.mark.parametrize("source, path", [
+        ("spec", 7), ("spec", ""), ("spec", "missing/out.csv"),
+        ("flag", ""), ("flag", "missing/out.csv"),
+    ], ids=["spec-number", "spec-empty", "spec-missing-directory", "flag-empty",
+            "flag-missing-directory"])
+    def test_unusable_path_refused_before_computing(self, tmp_path, capsys, source, path):
+        if path == "missing/out.csv":
+            path = str(tmp_path / path)
+        spec = dict(self.DIVERGENT)
+        if source == "spec":
+            spec["output"] = {"path": path}
+            argv = ["invert-three-term", "--spec", write_spec(tmp_path, spec)]
+        else:
+            argv = ["invert-three-term", "--spec", write_spec(tmp_path, spec), "--out", path]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert (err["type"], err["kind"]) == ("SpecError", "spec")
+        assert "output path" in err["message"]
+        assert not (tmp_path / "missing").exists()
+
+    def test_write_failure_is_json_error(self, tmp_path, capsys):
+        # a directory passes the path check and fails to open for writing
+        path = write_spec(tmp_path, basic_spec())
+        assert main(["solve-kinetic", "--spec", path, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert (err["type"], err["kind"]) == ("IsADirectoryError", "spec")
+
+
 class TestEvalTasks:
     def test_ml_json(self, tmp_path, capsys):
         spec = {
@@ -453,6 +492,77 @@ class TestSpecValidation:
                 "grid": {"start": 1.0, "stop": 1.0, "n": 1}}
         assert main([task, "--spec", write_spec(tmp_path, spec)]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "spec"
+
+    @pytest.mark.parametrize("task, params, output, message", [
+        ("rd-solve", {**RD_PARAMS, "solver": "euler"}, {},
+         "solver must be one of spectral, fd, got 'euler'"),
+        ("eval-ml", {"nu": 1.0}, {"format": "xml"},
+         "output format must be one of csv, json, got 'xml'"),
+    ], ids=["solver", "format"])
+    def test_unknown_choice_names_the_choices(self, tmp_path, capsys, task, params, output,
+                                              message):
+        spec = {"version": "1", "parameters": params, "output": output,
+                "grid": {"start": 1.0, "stop": 1.0, "n": 1}}
+        assert main([task, "--spec", write_spec(tmp_path, spec)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["kind"], err["message"]) == ("spec", message)
+
+    # a count given as a bool or a float, each refused by name
+    COUNTS = {
+        "grid-n": ("eval-ml", {"nu": 1.0}, "n", "grid n"),
+        "nodes": ("invert-lt", {"descriptor": {"kind": "MLBasic", "c": 1.0, "nu": 0.5}},
+                  "nodes", "nodes"),
+        "outer-terms": ("invert-three-term", {"alpha": 2.0, "beta": 1.0, "a": 0.6, "b": 4.0},
+                        "outer_terms", "outer_terms"),
+    }
+
+    @pytest.mark.parametrize("value", [True, 64.0])
+    @pytest.mark.parametrize("case", sorted(COUNTS))
+    def test_count_must_be_an_integer(self, tmp_path, capsys, case, value):
+        task, params, key, what = self.COUNTS[case]
+        grid = {"start": 1.0, "stop": 1.0, "n": 1}
+        if key == "n":
+            grid = {"start": 0.5, "stop": 1.0, "n": value}
+        else:
+            params = {**params, key: value}
+        spec = {"version": "1", "parameters": params, "grid": grid}
+        assert main([task, "--spec", write_spec(tmp_path, spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "spec"
+        assert err["message"].startswith(f"{what} must be an integer")
+
+    @pytest.mark.parametrize("use_flag", [False, True], ids=["spec", "flag"])
+    def test_grid_size_bound(self, tmp_path, capsys, use_flag):
+        # at the bound the grid is built and the task's own domain check
+        # refuses it; one above, the grid is refused before np.linspace
+        def run(n):
+            spec = {"version": "1", "parameters": {"nu": 1.0},
+                    "grid": {"start": 0.0, "stop": 100.0, "n": n}}
+            argv = ["eval-ml", "--spec", write_spec(tmp_path, spec)]
+            if use_flag:
+                argv += ["--grid", f"0:100:{n}"]
+            assert main(argv) == 2
+            return json.loads(capsys.readouterr().err)["error"]["message"]
+
+        assert run(100_000) == "grid exceeds the series domain |z| <= 50.0"
+        assert run(100_001) == "grid n must be an integer in [1, 100000], got 100001"
+
+    def test_node_count_bound(self, tmp_path, capsys):
+        # MLBasic settles in the double-precision stage, so 1,024 mpmath
+        # nodes are accepted without summing them
+        def spec(nodes):
+            params = {"descriptor": {"kind": "MLBasic", "c": 1.0, "nu": 1.0}, "nodes": nodes}
+            return write_spec(tmp_path, {"version": "1", "parameters": params,
+                                         "grid": {"start": 1.0, "stop": 1.0, "n": 1}})
+
+        assert main(["invert-lt", "--spec", spec(1024)]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1]
+        assert float(row.split(",")[1]) == pytest.approx(math.exp(-1.0), rel=1e-8)
+        assert main(["invert-lt", "--spec", spec(1025)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"] == "nodes must be an integer in [16, 1024], got 1025"
 
     # every task that reads --tol, with parameters it accepts
     TOL_TASKS = {

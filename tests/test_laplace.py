@@ -322,6 +322,10 @@ class TestInvertNumeric:
     def test_inversion_config_validation(self):
         with pytest.raises(DomainError):
             InversionConfig(M=8)
+        # an infinite target passes both node-doubling checks, so either
+        # stage would return whatever it summed
+        with pytest.raises(DomainError, match="finite"):
+            InversionConfig(precision_target=math.inf)
 
 
 class _MpStage(Exception):
