@@ -340,9 +340,11 @@ def _build_verify(params: dict, grid: list[float], tol: float | None):
     return ["t", "closed_form", "numeric", "abs_err", "residual"], compute
 
 
+# the evaluators are looked up at call time, so a wrapper installed on the
+# module's names (a tracer, a test's counter) sees the eval tasks' calls
 _BUILDERS: dict[str, Callable] = {
-    "eval-ml": functools.partial(_build_eval, MLParams, ml_eval, "eval-ml"),
-    "eval-wright": functools.partial(_build_eval, WrightParams, wright_eval, "eval-wright"),
+    "eval-ml": lambda *args: _build_eval(MLParams, ml_eval, "eval-ml", *args),
+    "eval-wright": lambda *args: _build_eval(WrightParams, wright_eval, "eval-wright", *args),
     "solve-kinetic": _build_solve_kinetic,
     "invert-lt": _build_invert_lt,
     "invert-three-term": _build_invert_three_term,

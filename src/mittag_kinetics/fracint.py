@@ -13,6 +13,12 @@ the step for smooth g.
 ``residual_check`` certifies a claimed kinetic solution by evaluating
 N(t) - source(t) + c**nu * (I^nu N)(t), which is identically zero for
 the exact solution.
+
+The incomplete beta function comes from ``scipy.special``, imported on
+the first quadrature rather than with the package: it is the only
+scipy this module needs, and loading it costs about as much as the rest
+of the package's import together. 1/Gamma(nu) is taken from
+``math.lgamma`` (``special_functions._log_gamma``).
 """
 
 from __future__ import annotations
@@ -22,11 +28,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import beta as beta_fn
-from scipy.special import betainc, gammaln
 
 from .errors import DomainError, QuadratureFailure
 from .kinetics import KineticProblem, source_term
+from .special_functions import _log_gamma
 
 _DEFAULT_CELLS = 512
 
@@ -65,7 +70,10 @@ DEFAULT_FRACINT_CONFIG = FracIntConfig()
 def _cell_moments(x: np.ndarray, s: float, nu: float, t: float) -> np.ndarray:
     # int_{u_j}^{u_{j+1}} u**(s-1) (t-u)**(nu-1) du as incomplete-beta
     # differences on the scaled variable x = u / t
-    vals = betainc(s, nu, x) * beta_fn(s, nu)
+    # lazy: the package's import would cost twice as much with it
+    from scipy.special import beta, betainc
+
+    vals = betainc(s, nu, x) * beta(s, nu)
     return t ** (s + nu - 1.0) * np.diff(vals)
 
 
@@ -115,7 +123,7 @@ def rl_integral(f: Callable[[float], float], nu: float, t: float,
     m1 = _cell_moments(x, rho + 2.0, nu, t)
     slope = np.diff(g) / np.diff(u)
     cells = g[:-1] * m0 + slope * (m1 - u[:-1] * m0)
-    return float(np.exp(-gammaln(nu)) * np.sum(cells))
+    return float(math.exp(-_log_gamma(nu)[0]) * np.sum(cells))
 
 
 def residual_check(problem: KineticProblem, solution: Callable[[float], float],

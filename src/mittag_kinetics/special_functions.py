@@ -97,7 +97,6 @@ from typing import Callable, Iterator
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
 from .errors import DomainError, NonConvergence, PoleError, refuse_non_finite
 
@@ -245,6 +244,17 @@ class WrightParams:
 def _near_nonpositive_int(x: float) -> bool:
     r = round(x)
     return r <= 0 and abs(x - r) < _POLE_TOL
+
+
+def _log_gamma(x: float) -> tuple[float, float]:
+    """(log|Gamma(x)|, sign of Gamma(x)) for x off the poles; the log is
+    inf where it passes float range (x above about 2.5e305)."""
+    try:
+        log_abs = math.lgamma(x)
+    except OverflowError:
+        log_abs = math.inf
+    # Gamma is negative exactly on the intervals (-2m-1, -2m)
+    return log_abs, -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
 
 
 def _sum_series(
@@ -854,7 +864,7 @@ def wright_eval(
     total, peak, n_used = _sum_series(_wright_terms(params, z), cfg, what)
     if total is None:
         log10_peak = _log10_peak(_wright_terms(params, z), cfg, what)
-    # long series hit the accuracy floor of float gammaln(k+1) against the
+    # long series hit the accuracy floor of float lgamma(k+1) against the
     # list Gammas; redo those in mpmath as well
     elif n_used > 220 or not _float_sum_kept(0, total, peak):
         log10_peak = math.log10(max(peak, _ABS_FLOOR))
@@ -876,15 +886,17 @@ def _wright_terms(params: WrightParams, z: float) -> Iterator[tuple[float, float
             arg = a + aa * k
             if _near_nonpositive_int(arg):
                 raise PoleError(f"upper Gamma argument {arg} hits a pole at term k={k}")
-            log_mag += gammaln(arg)
-            sign *= gammasgn(arg)
+            log_gamma, sign_gamma = _log_gamma(arg)
+            log_mag += log_gamma
+            sign *= sign_gamma
         for b, bb in params.lower:
             arg = b + bb * k
             if _near_nonpositive_int(arg):
                 log_mag, sign = -math.inf, 0.0
                 break
-            log_mag -= gammaln(arg)
-            sign *= gammasgn(arg)
+            log_gamma, sign_gamma = _log_gamma(arg)
+            log_mag -= log_gamma
+            sign *= sign_gamma
         yield log_mag, sign
         if z == 0.0:
             return

@@ -649,6 +649,17 @@ class TestMPRerun:
             assert wright_eval(params, z) == pytest.approx(expected, rel=1e-12, abs=0), z
         assert len(calls) == len(points)
 
+    @pytest.mark.parametrize("evaluate, params, z, reruns", [
+        (ml_eval, MLParams(nu=0.5, mu=1.0), -1.0, 0),
+        (ml_eval, MLParams(nu=1.5, mu=1.0, gamma=2.0), -40.0, 1),
+        (wright_eval, WrightParams(upper=((1.0, 1.0),), lower=((1.0, 0.5),)), -0.5, 0),
+        (wright_eval, WrightParams(upper=((1.0, 1.0),), lower=((1.0, 0.5),)), -8.0, 1),
+    ], ids=["ml-float", "ml-rerun", "wright-float", "wright-rerun"])
+    def test_values_are_python_floats(self, monkeypatch, evaluate, params, z, reruns):
+        calls = self._count_reruns(monkeypatch)
+        assert type(evaluate(params, z)) is float
+        assert len(calls) == reruns
+
 
 class TestHyperStage:
     """Integer orders nu = 1-4 through mpmath's hypergeometric sum, held
@@ -811,6 +822,41 @@ class TestWright:
             expected = mp.fsum(mp.mpf(z) ** k / mp.factorial(k) * mp.rgamma(2 - mp.mpf(k) / 2)
                                for k in range(120))
         assert wright_eval(p, z) == pytest.approx(float(expected), rel=1e-13)
+
+    def test_gamma_sign_rule(self):
+        # seeded x in (-30, 30), and points within 1e-9 of each pole
+        rng = np.random.default_rng(20261019)
+        poles = np.arange(0.0, -30.0, -1.0)
+        offsets = 10.0 ** rng.uniform(-11.0, -9.0, poles.size) * rng.choice((-1.0, 1.0), poles.size)
+        points = [*rng.uniform(-30.0, 30.0, 400), *(poles + offsets), *(poles - offsets)]
+        for x in points:
+            assert special_functions._log_gamma(x) == (math.lgamma(x), math.copysign(1.0, math.gamma(x))), x
+
+    def test_gamma_beyond_float_range(self):
+        # 1/Gamma(1e306) vanishes: log|Gamma| reads inf, not an OverflowError
+        p = WrightParams(upper=(), lower=((1e306, 1.0),))
+        assert wright_eval(p, 0.0) == 0.0
+
+    def test_negative_gamma_arguments_against_mp_series(self):
+        # upper Gamma arguments start in (-3, 0), where Gamma changes sign
+        # between poles; lower ones in (-3, 3)
+        rng = np.random.default_rng(20261020)
+        for i in range(60):
+            slope = rng.uniform(0.2, 1.0)
+            upper = ((rng.uniform(-3.0, 0.0), slope),)
+            lower = ((rng.uniform(-3.0, 3.0), rng.uniform(slope, 1.5)),)
+            if i % 2:
+                upper += ((rng.uniform(-3.0, 0.0), rng.uniform(0.0, 0.5)),)
+                lower += ((rng.uniform(0.5, 3.0), rng.uniform(0.5, 1.0)),)
+            z = rng.uniform(-5.0, 5.0)
+            with mp.workdps(50):
+                terms = (mp.mpf(z) ** k / mp.factorial(k)
+                         * mp.fprod(mp.gamma(a + mp.mpf(aa) * k) for a, aa in upper)
+                         * mp.fprod(mp.rgamma(b + mp.mpf(bb) * k) for b, bb in lower)
+                         for k in range(200))
+                expected = float(mp.fsum(terms))
+            got = wright_eval(WrightParams(upper=upper, lower=lower), z)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0), (upper, lower, z)
 
     def test_upper_pole_raises(self):
         p = WrightParams(upper=((-0.5, 0.25),), lower=((1.0, 1.0),))
