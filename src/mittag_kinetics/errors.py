@@ -1,7 +1,8 @@
 """Exception and warning types shared across the package, and the
-finiteness rule of its frozen records."""
+finiteness and count rules of its frozen records."""
 
 import math
+import operator
 from enum import Enum
 
 import numpy as np
@@ -60,3 +61,10 @@ def refuse_non_finite(record) -> None:
             finite = value is None or isinstance(value, (Enum, int)) or math.isfinite(value)
         if not finite:
             raise DomainError(f"{type(record).__name__} {name} must be finite, got {value}")
+
+
+def refuse_non_count(value, what: str, least: int) -> None:
+    """Raise DomainError unless ``value`` is an integer of at least ``least``:
+    any integral type passes (``operator.index``), a bool or float does not."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") or operator.index(value) < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")

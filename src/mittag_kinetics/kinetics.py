@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, PoleError, TieError, refuse_non_finite
+from .errors import DomainError, NonConvergence, PoleError, TieError, refuse_non_count, refuse_non_finite
 from .laplace import (
     MLBasic,
     MLGeneral,
@@ -304,8 +304,7 @@ def invert_three_term(d: ThreeTermAlpha | ThreeTermBeta, t: float, outer_terms: 
     """
     if t <= 0.0:
         raise DomainError(f"time must be positive, got {t}")
-    if outer_terms < 1:
-        raise DomainError(f"outer_terms must be at least 1, got {outer_terms}")
+    refuse_non_count(outer_terms, "outer_terms", 1)
     gap = d.alpha - d.beta
     if abs(d.a) * t**gap > _OUTER_ARG_LIMIT:
         raise DomainError(

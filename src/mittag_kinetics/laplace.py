@@ -34,11 +34,14 @@ oracles sit alongside:
   and a non-quadratic denominator have unknown singular points and go to
   the mpmath stage unguarded.
 
-Descriptors for two-sided transforms (the symmetric Laplace density and
-residual products with output factors) have singularities at +1/beta, so
-their Bromwich line must stay inside the convergence strip: the contour
-scale r is capped at half of t times the strip bound.  On such a contour
-Talbot recovers the t > 0 branch of the two-sided density.
+The three gamma kinds are factor sets of one product, the paper's residual
+transform prod (1 + s beta p)^(-alpha), s = +1 for an input factor and -1
+for an output: ``GammaPower`` is one input, ``LaplaceDensity`` the factor
+(1, beta) as both, ``ResidualProduct`` its ``plus`` and ``minus``.  With
+outputs the transform is two-sided, singular at +1/beta, so its Bromwich
+line must stay inside the convergence strip: the contour scale r is capped
+at half of t times the strip bound, and Talbot recovers the t > 0 branch
+of the two-sided density.  Outputs alone invert to exactly 0 at t > 0.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .errors import (
     InversionFailure,
     PoleError,
     QuadratureFailure,
+    refuse_non_count,
     refuse_non_finite,
 )
 
@@ -95,8 +99,42 @@ class _Descriptor:
         return 1.0
 
 
+class _GammaFactors(_Descriptor):
+    """prod (1 + s beta p)^(-alpha) over the factors (alpha, beta, s), with
+    s = +1 for an input and -1 for an output, that each kind sets once in
+    ``__post_init__`` through ``_set_factors``."""
+
+    _factors: tuple[tuple[float, float, float], ...]
+
+    def _set_factors(self, factors) -> None:
+        refuse_non_finite(self)
+        for a, b, _ in factors:
+            if not (a > 0 and b > 0):
+                raise DomainError(f"{type(self).__name__} factors need alpha, beta > 0, got {self}")
+        object.__setattr__(self, "_factors", tuple(factors))
+
+    def value(self, p):
+        out = 1
+        for a, b, s in self._factors:
+            out = out * (1 + s * b * p) ** (-a)
+        return out
+
+    def check_real_validity(self, p: float) -> None:
+        for _, b, s in self._factors:
+            w = 1.0 + s * b * p
+            side = "input" if s > 0 else "output"
+            if abs(w) < _DEN_TOL:
+                raise PoleError(f"p={p} sits on an {side}-factor singularity")
+            if w < 0:
+                raise DomainError(f"{side} factor leaves its validity region at p={p}")
+
+    def strip_sigma(self) -> float | None:
+        bounds = [1.0 / b for _, b, s in self._factors if s < 0]
+        return min(bounds) if bounds else None
+
+
 @dataclass(frozen=True)
-class GammaPower(_Descriptor):
+class GammaPower(_GammaFactors):
     """(1 + beta p)^(-alpha): transform of the gamma density with shape
     alpha and scale beta (up to the Gamma normalization)."""
 
@@ -104,51 +142,26 @@ class GammaPower(_Descriptor):
     beta: float
 
     def __post_init__(self):
-        refuse_non_finite(self)
-        if not (self.alpha > 0 and self.beta > 0):
-            raise DomainError(f"GammaPower requires alpha, beta > 0, got {self}")
+        self._set_factors(((self.alpha, self.beta, 1.0),))
 
-    def value(self, p):
-        return (1 + self.beta * p) ** (-self.alpha)
-
-    def check_real_validity(self, p: float) -> None:
-        w = 1.0 + self.beta * p
-        if abs(w) < _DEN_TOL:
-            raise PoleError(f"p={p} is the GammaPower singular point -1/beta")
-        if w < 0:
-            raise DomainError(f"GammaPower needs 1 + beta p > 0 on the real axis, got p={p}")
+    value = _GammaFactors.value
 
 
 @dataclass(frozen=True)
-class LaplaceDensity(_Descriptor):
+class LaplaceDensity(_GammaFactors):
     """(1 - beta^2 p^2)^(-1): two-sided transform of the symmetric Laplace
     density exp(-|t|/beta)/(2 beta), valid on |Re p| < 1/beta."""
 
     beta: float
 
     def __post_init__(self):
-        refuse_non_finite(self)
-        if not self.beta > 0:
-            raise DomainError(f"LaplaceDensity requires beta > 0, got {self}")
+        self._set_factors(((1.0, self.beta, 1.0), (1.0, self.beta, -1.0)))
 
-    def value(self, p):
-        den = 1 - (self.beta * p) ** 2
-        _pole_guard(den, 1 + abs(self.beta * p) ** 2)
-        return 1 / den
-
-    def check_real_validity(self, p: float) -> None:
-        w = abs(self.beta * p)
-        if abs(w - 1.0) < _DEN_TOL:
-            raise PoleError(f"p={p} sits on a LaplaceDensity pole +-1/beta")
-        if w > 1.0:
-            raise DomainError(f"LaplaceDensity strip is |p| < 1/beta, got p={p}")
-
-    def strip_sigma(self) -> float:
-        return 1.0 / self.beta
+    value = _GammaFactors.value
 
 
 @dataclass(frozen=True)
-class ResidualProduct(_Descriptor):
+class ResidualProduct(_GammaFactors):
     """prod_i (1 + beta_i p)^(-alpha_i) * prod_j (1 - beta_j p)^(-alpha_j):
     transform of a residual (sum of gamma inputs minus sum of gamma
     outputs).  ``plus`` holds the input factors, ``minus`` the outputs."""
@@ -159,37 +172,11 @@ class ResidualProduct(_Descriptor):
     def __post_init__(self):
         object.__setattr__(self, "plus", tuple((float(a), float(b)) for a, b in self.plus))
         object.__setattr__(self, "minus", tuple((float(a), float(b)) for a, b in self.minus))
-        refuse_non_finite(self)
         if not (self.plus or self.minus):
             raise DomainError("ResidualProduct needs at least one factor")
-        for a, b in (*self.plus, *self.minus):
-            if not (a > 0 and b > 0):
-                raise DomainError(f"ResidualProduct factors need alpha, beta > 0, got {(a, b)}")
+        self._set_factors([(a, b, 1.0) for a, b in self.plus] + [(a, b, -1.0) for a, b in self.minus])
 
-    def value(self, p):
-        out = 1
-        for a, b in self.plus:
-            out = out * (1 + b * p) ** (-a)
-        for a, b in self.minus:
-            out = out * (1 - b * p) ** (-a)
-        return out
-
-    def check_real_validity(self, p: float) -> None:
-        for w, side in ((1.0 + b * p, "input") for _, b in self.plus):
-            if abs(w) < _DEN_TOL:
-                raise PoleError(f"p={p} sits on an {side}-factor singularity")
-            if w < 0:
-                raise DomainError(f"{side} factor leaves its validity region at p={p}")
-        for w, side in ((1.0 - b * p, "output") for _, b in self.minus):
-            if abs(w) < _DEN_TOL:
-                raise PoleError(f"p={p} sits on an {side}-factor singularity")
-            if w < 0:
-                raise DomainError(f"{side} factor leaves its validity region at p={p}")
-
-    def strip_sigma(self) -> float | None:
-        if not self.minus:
-            return None
-        return min(1.0 / b for _, b in self.minus)
+    value = _GammaFactors.value
 
 
 def _pole_guard(den, scale) -> None:
@@ -312,10 +299,10 @@ class _ThreeTermBase(_PowerOfP):
         if not (self.alpha > self.beta >= 0):
             raise DomainError(f"three-term transform requires alpha > beta >= 0, got {self}")
 
-    def _den(self, p):
+    def value(self, p):
         den = p**self.alpha + self.a * p**self.beta + self.b
         _pole_guard(den, abs(p) ** self.alpha + abs(self.a) * abs(p) ** self.beta + abs(self.b))
-        return den
+        return p ** (self.numerator_order - 1) / den
 
     def inversion_exponent(self) -> float:
         return self.alpha
@@ -351,8 +338,7 @@ class ThreeTermAlpha(_ThreeTermBase):
     def numerator_order(self) -> float:
         return self.alpha
 
-    def value(self, p):
-        return p ** (self.numerator_order - 1) / self._den(p)
+    value = _ThreeTermBase.value
 
 
 @dataclass(frozen=True)
@@ -363,8 +349,7 @@ class ThreeTermBeta(_ThreeTermBase):
     def numerator_order(self) -> float:
         return self.beta
 
-    def value(self, p):
-        return p ** (self.numerator_order - 1) / self._den(p)
+    value = _ThreeTermBase.value
 
 
 TransformDescriptor = Union[
@@ -410,6 +395,9 @@ class QuadratureConfig:
     singular_power: float = 0.0
 
     def __post_init__(self):
+        refuse_non_finite(self)
+        if not (self.rel_tol >= 0 and self.abs_tol >= 0 and self.rel_tol + self.abs_tol > 0):
+            raise DomainError(f"QuadratureConfig needs rel_tol, abs_tol >= 0, not both 0, got {self}")
         if self.singular_power <= -1.0:
             raise DomainError("singular_power must exceed -1 for integrability")
 
@@ -470,8 +458,7 @@ class InversionConfig:
 
     def __post_init__(self):
         refuse_non_finite(self)
-        if self.M < 16:
-            raise DomainError(f"M must be at least 16, got {self.M}")
+        refuse_non_count(self.M, "M", 16)
         if not self.precision_target > 0:
             raise DomainError(f"precision_target must be positive, got {self.precision_target}")
 
@@ -588,10 +575,13 @@ def lt_invert_numeric(
     e^{Re(p) t} not far below the target lies inside both of its
     contours: node doubling cannot see a point outside both, whose
     residue the two sums would miss alike.  When the mpmath contours miss
-    one, InversionFailure is raised.
+    one, InversionFailure is raised.  A gamma-factor product of outputs
+    alone, a density on t < 0, gives 0.0 at once.
     """
     if not 0 < t < math.inf:
         raise DomainError(f"inversion requires a finite t > 0, got {t}")
+    if isinstance(d, _GammaFactors) and all(s < 0 for _, _, s in d._factors):
+        return 0.0  # outputs alone: u = -(sum of outputs) <= 0
     F, points = d, ()
     if isinstance(d, _Descriptor):
         if d.inversion_exponent() > 2.0 + 1e-12:

@@ -76,8 +76,8 @@ is refused with ``DomainError`` rather than returned as ``inf``.
 
 ``_ml_eval_mesh`` evaluates one parameter triple over an ndarray of z
 (the residual quadrature's mesh, through ``kinetics.SolutionSeries``):
-stage 1 for every point at once, with one pass over the z-free part of
-the term logs per block of k.  Every point is summed to the term count
+stage 1 for every point at once, the z-free part of the term logs read
+from ``_ml_terms`` at z = 1.  Every point is summed to the term count
 ``_sum_series`` reads at the point of largest |z|, whose terms are the
 largest at every k; the stop rule is checked once, at that count, and
 then the float path's acceptance rule (``_float_sum_kept``, which both
@@ -98,7 +98,7 @@ from typing import Callable, Iterator
 import mpmath as mp
 import numpy as np
 
-from .errors import DomainError, NonConvergence, PoleError, refuse_non_finite
+from .errors import DomainError, NonConvergence, PoleError, refuse_non_count, refuse_non_finite
 
 #: Absolute tolerance used to decide that a Gamma argument sits on a pole.
 _POLE_TOL = 1e-12
@@ -209,10 +209,10 @@ class SeriesConfig:
     max_abs_z: float = 50.0
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self)
         if not (0 < self.rel_tol < 1):
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
+        refuse_non_count(self.max_terms, "max_terms", 1)
 
 
 DEFAULT_SERIES_CONFIG = SeriesConfig()
@@ -318,8 +318,9 @@ def _log10_peak(terms: Iterator[tuple[float, float]], cfg: SeriesConfig, what: s
     (natural log units) below the largest.
 
     Raises ``DomainError`` when the terms read have one sign and sum beyond
-    float range, and ``NonConvergence`` when none of ``cfg.max_terms`` terms
-    falls below the cut that stops ``_mp_sum`` at its first precision.
+    float range or a term's log is itself beyond it (a Gamma argument above
+    about 2.5e305), and ``NonConvergence`` when none of ``cfg.max_terms``
+    terms falls below the cut that stops ``_mp_sum`` at its first precision.
     """
     best = -math.inf
     scaled = 0.0  # the sum of the magnitudes read, over e^best
@@ -331,6 +332,8 @@ def _log10_peak(terms: Iterator[tuple[float, float]], cfg: SeriesConfig, what: s
             continue
         signs.add(sign < 0.0)
         if log_mag > best:
+            if log_mag == math.inf:  # no working precision reaches this term
+                raise DomainError(f"{what}: the log of term {k} is beyond float range")
             scaled = scaled * math.exp(best - log_mag) + 1.0
             best = log_mag
         else:
@@ -473,46 +476,33 @@ def _ml_mesh_sums(params: MLParams, z: np.ndarray, cfg: SeriesConfig) -> tuple[n
 
     Every point is summed over the n terms ``_sum_series`` reads at the
     point of largest |z|, whose term is the largest at every k: a point
-    that needs more has a small sum and fails the tail check below.  Per
-    block of ``_MESH_BLOCK`` values of k the z-free part of the term logs,
-    log|(gamma)_k / k!| - lgamma(mu + k nu), is built once with its sign,
-    and the terms of every point come from one outer operation with
-    k log|z|, summed with Kahan compensation.  A point is kept when none
-    of its term logs passed ``_LOG_OVERFLOW``, its last three terms are
-    below ``rel_tol`` times its sum (the stop rule of ``_sum_series``) or
-    the Pochhammer factor ended the series, and ``_float_sum_kept`` keeps
-    its sum.  When the far point does not converge within ``max_terms``
-    no point is kept.
+    that needs more has a small sum and fails the tail check below.  The
+    z-free part of the term logs, log|(gamma)_k / k!| - lgamma(mu + k nu),
+    and its sign are the terms ``_ml_terms`` yields at z = 1; per block of
+    ``_MESH_BLOCK`` values of k the terms of every point come from one
+    outer operation with k log|z|, summed with Kahan compensation.  A point
+    is kept when none of its term logs passed ``_LOG_OVERFLOW``, its last
+    three terms are below ``rel_tol`` times its sum (the stop rule of
+    ``_sum_series``) or those terms at z = 1 ended (the Pochhammer factor
+    ended the series), and ``_float_sum_kept`` keeps its sum.  When the
+    far point does not converge within ``max_terms`` no point is kept.
     """
     far = float(z[np.argmax(np.abs(z))])
     try:
         _, _, n = _sum_series(_ml_terms(params, far), cfg, "Mittag-Leffler series")
     except NonConvergence:
         return np.zeros(z.size, dtype=bool), np.zeros(z.size)
-    nu, mu, gam = params.nu, params.mu, params.gamma
+    unit = _ml_terms(params, 1.0)
+    z_free, fronts = np.array(list(itertools.islice(unit, n))).T[:, :, None]
+    ended = next(unit, None) is None
+    ks = np.arange(n, dtype=float)[:, None]
     log_abs_z = np.array([math.log(abs(x)) for x in z.tolist()])
     total, comp, peak = np.zeros(z.size), np.zeros(z.size), np.zeros(z.size)
     over = np.zeros(z.size, dtype=bool)
     tail = np.empty((0, z.size))  # magnitudes of the last three terms
-    log_poch, sign = 0.0, 1.0
-    for k0 in range(0, n, _MESH_BLOCK):
-        # the parts of the term logs _ml_terms builds, with its arithmetic
-        pochs, gammas, fronts = [], [], []
-        for k in range(k0, min(k0 + _MESH_BLOCK, n)):
-            pochs.append(log_poch)
-            gammas.append(math.lgamma(mu + k * nu))
-            fronts.append(sign)
-            g = gam + k
-            if g == 0.0:
-                break  # the last term: the series terminated exactly
-            if gam != 1.0:
-                log_poch += math.log(abs(g)) - math.log(k + 1.0)
-            if g < 0:
-                sign = -sign
-        ks = np.arange(k0, k0 + len(fronts), dtype=float)[:, None]
-        front = np.array(fronts)[:, None]
-        signs = np.where(z < 0.0, front * (-1.0) ** ks, front)
-        log_mag = ks * log_abs_z + np.array(pochs)[:, None] - np.array(gammas)[:, None]
+    for block in (slice(k0, k0 + _MESH_BLOCK) for k0 in range(0, n, _MESH_BLOCK)):
+        signs = np.where(z < 0.0, fronts[block] * (-1.0) ** ks[block], fronts[block])
+        log_mag = ks[block] * log_abs_z + z_free[block]
         if log_mag.max() > _LOG_OVERFLOW:
             over |= (log_mag > _LOG_OVERFLOW).any(axis=0)
             np.minimum(log_mag, _LOG_OVERFLOW, out=log_mag)
@@ -524,7 +514,7 @@ def _ml_mesh_sums(params: MLParams, z: np.ndarray, cfg: SeriesConfig) -> tuple[n
             total = running
         peak = np.maximum(peak, mag.max(axis=0))
         tail = np.concatenate((tail, mag[-3:]))[-3:]
-    converged = (g == 0.0) | (tail < cfg.rel_tol * np.abs(total)).all(axis=0)
+    converged = ended | (tail < cfg.rel_tol * np.abs(total)).all(axis=0)
     kept = ~over & converged & _float_sum_kept(_hyper_order(params), total, peak)
     return kept, total
 
@@ -875,7 +865,8 @@ def wright_eval(
 
 def _wright_terms(params: WrightParams, z: float) -> Iterator[tuple[float, float]]:
     """(log|term_k|, sign_k) of the Wright series at z: (-inf, 0) at a
-    lower-list Gamma pole, ``PoleError`` at an upper-list one."""
+    lower-list Gamma pole, ``PoleError`` at an upper-list one, and
+    ``DomainError`` where log|Gamma| is inf on both lists."""
     log_abs_z = math.log(abs(z)) if z != 0.0 else 0.0
     sign_z = 1.0 if z >= 0 else -1.0
     sign_pow = 1.0
@@ -897,6 +888,8 @@ def _wright_terms(params: WrightParams, z: float) -> Iterator[tuple[float, float
             log_gamma, sign_gamma = _log_gamma(arg)
             log_mag -= log_gamma
             sign *= sign_gamma
+        if log_mag != log_mag:  # inf - inf: Gammas beyond float range on both lists
+            raise DomainError(f"Wright series: term {k} divides Gammas beyond float range")
         yield log_mag, sign
         if z == 0.0:
             return

@@ -388,5 +388,6 @@ class TestInvertThreeTerm:
         d = ThreeTermAlpha(a=0.5, b=1.0, alpha=1.5, beta=0.5)
         with pytest.raises(DomainError):
             invert_three_term(d, 0.0)
-        with pytest.raises(DomainError):
-            invert_three_term(d, 1.0, outer_terms=0)
+        for outer_terms in (0, 2.5, True):
+            with pytest.raises(DomainError):
+                invert_three_term(d, 1.0, outer_terms=outer_terms)

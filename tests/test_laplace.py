@@ -152,6 +152,23 @@ class TestLtEval:
         rhs = lt_eval(one, p) * lt_eval(one, -p)
         assert lhs == pytest.approx(rhs, rel=1e-14)
 
+    @given(
+        alpha=st.floats(0.2, 4.0),
+        beta=st.floats(0.1, 3.0),
+        x=st.floats(-0.95, 0.95),
+        y=st.floats(-5.0, 5.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_residual_transform_closed_form(self, alpha, beta, x, y):
+        # the paper's eq. (3), L_x1(p) L_x2(-p) = (1 - beta^2 p^2)^-alpha for
+        # input and output gamma densities of one shape and scale, written
+        # out apart from the catalog's factor product; real p in the strip
+        # and complex p with |Re(beta p)| < 1, where the principal branches
+        # of the factors and of the closed form agree
+        d = ResidualProduct(plus=((alpha, beta),), minus=((alpha, beta),))
+        for p in (x / beta, complex(x, y) / beta):
+            assert lt_eval(d, p) == pytest.approx((1 - (beta * p) ** 2) ** (-alpha), rel=1e-14)
+
 
 @pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf])
 def test_non_finite_time_refused(t):
@@ -246,6 +263,19 @@ class TestInvertNumeric:
         got = lt_invert_numeric(d, t, cfg)
         assert got == pytest.approx(math.exp(-t / beta) / (2.0 * beta), rel=3e-7)
 
+    @pytest.mark.parametrize("beta, t", [(0.5, 0.3), (1.0, 1.0), (2.5, 2.0)])
+    def test_laplace_density_is_the_residual_product(self, beta, t):
+        density = LaplaceDensity(beta=beta)
+        product = ResidualProduct(plus=((1.0, beta),), minus=((1.0, beta),))
+        for p in (0.3 / beta, complex(-0.2, 1.5) / beta):
+            assert lt_eval(density, p) == lt_eval(product, p)
+        assert lt_invert_numeric(density, t) == lt_invert_numeric(product, t)
+
+    @pytest.mark.parametrize("minus, t", [(((1.0, 1.0),), 1.0), (((1.0, 1.0), (0.5, 2.0)), 0.5)])
+    def test_outputs_alone_vanish_for_positive_t(self, minus, t):
+        # with no input factor the residual u = -(sum of outputs) is <= 0
+        assert lt_invert_numeric(ResidualProduct(minus=minus), t) == 0.0
+
     @pytest.mark.parametrize("nu", [0.4, 0.8, 1.3])
     @pytest.mark.parametrize("t", [0.1, 1.0, 3.0])
     def test_ml_basic_pair(self, nu, t):
@@ -326,6 +356,25 @@ class TestInvertNumeric:
         # stage would return whatever it summed
         with pytest.raises(DomainError, match="finite"):
             InversionConfig(precision_target=math.inf)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: InversionConfig(M=20.5),
+    lambda: InversionConfig(M=True),
+    lambda: QuadratureConfig(rel_tol=-1.0),
+    lambda: QuadratureConfig(abs_tol=math.inf),
+    lambda: QuadratureConfig(rel_tol=0.0, abs_tol=0.0),
+], ids=["M-float", "M-bool", "rel-tol-negative", "abs-tol-inf", "tolerances-zero"])
+def test_config_refused(make):
+    # refused when built, not by a TypeError or a quadrature that cannot
+    # run once the config is used
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_config_takes_any_integral_node_count():
+    cfg = InversionConfig(M=np.int64(64))
+    assert lt_invert_numeric(LaplaceDensity(1.0), 1.0, cfg) == lt_invert_numeric(LaplaceDensity(1.0), 1.0)
 
 
 class _MpStage(Exception):

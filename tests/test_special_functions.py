@@ -309,11 +309,17 @@ def test_series_oracle_cut_is_relative():
     lambda: WrightParams(upper=((1.0, math.nan),), lower=()),
     lambda: WrightParams(upper=(), lower=((1.0, math.inf),)),
     lambda: WrightParams(upper=(), lower=((-math.inf, 0.5),)),
+    lambda: SeriesConfig(max_abs_z=math.nan),
+    lambda: SeriesConfig(max_terms=2.5),
+    lambda: SeriesConfig(max_terms=True),
 ], ids=["nu-inf", "mu-inf", "gamma-nan", "gamma-minus-inf", "hyp1f1-beta-nan", "hyp1f1-gamma-inf",
-        "wright-a-nan", "wright-A-nan", "wright-B-inf", "wright-b-minus-inf"])
+        "wright-a-nan", "wright-A-nan", "wright-B-inf", "wright-b-minus-inf",
+        "max-abs-z-nan", "max-terms-float", "max-terms-bool"])
 def test_non_finite_parameters_refused(make):
     # refused at once, not after a term budget spent on nan or inf terms
-    # (nor, for Wright, by the Gamma pole test rounding a nan)
+    # (nor, for Wright, by the Gamma pole test rounding a nan); a config
+    # refuses a NaN bound, which every z would exceed, and a term budget
+    # that is not an integer, which ml_eval could not count to
     with pytest.raises(DomainError):
         make()
 
@@ -836,6 +842,16 @@ class TestWright:
         # 1/Gamma(1e306) vanishes: log|Gamma| reads inf, not an OverflowError
         p = WrightParams(upper=(), lower=((1e306, 1.0),))
         assert wright_eval(p, 0.0) == 0.0
+
+    @pytest.mark.parametrize("upper, lower, z", [
+        (((1e306, 1.0),), ((1e306, 1.0),), 0.0),
+        (((1e306, 1.0),), (), 0.1),
+    ], ids=["both-lists", "upper-only"])
+    def test_gamma_beyond_float_range_refused(self, upper, lower, z):
+        # log|Gamma| reads inf: a term log of inf - inf, or of inf, which no
+        # working precision of the mpmath rerun reaches
+        with pytest.raises(DomainError, match="beyond float range"):
+            wright_eval(WrightParams(upper=upper, lower=lower), z)
 
     def test_negative_gamma_arguments_against_mp_series(self):
         # upper Gamma arguments start in (-3, 0), where Gamma changes sign
