@@ -48,8 +48,9 @@ would overflow), evaluates in four stages:
    0 < nu < 1 and 0 < gamma <= 3 (no pole on the principal sheet, only
    the branch point at 0; a larger gamma leaves the absolute target far
    above E).  Route B: gamma = 1 with 0 < nu < 2 and either
-   sign of z (simple poles, whose residues are added when they lie to
-   the right of the contour).  A contour value is kept only if the
+   sign of z (simple poles: the contour runs left of every pole, between
+   the branch point at 0 and the nearest one, and every pole adds its
+   residue).  A contour value is kept only if the
    parameter search met a tolerance of 1e-13 or better within 200 nodes
    a side and its rounding estimate stays within 1e-13 of the result.
    A double sum that fails this guard, mostly one near a zero of E, is
@@ -381,7 +382,7 @@ def ml_eval(params: MLParams, z: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFI
             f"|z| = {abs(z)} exceeds the configured series domain bound {cfg.max_abs_z}"
         )
     if z == 0.0:
-        return 1.0 / math.gamma(params.mu) if params.mu < 170 else math.exp(-math.lgamma(params.mu))
+        return 1.0 / math.gamma(params.mu) if params.mu < 170 else math.exp(-_log_gamma(params.mu)[0])
 
     what = "Mittag-Leffler series"
     order = _hyper_order(params)
@@ -401,7 +402,9 @@ def ml_eval(params: MLParams, z: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFI
 
 
 def _ml_terms(params: MLParams, z: float) -> Iterator[tuple[float, float]]:
-    """(log|term_k|, sign_k) of the Mittag-Leffler series at z != 0."""
+    """(log|term_k|, sign_k) of the Mittag-Leffler series at z != 0.  The
+    terms end where mu + k nu passes float range for lgamma (about
+    2.5e305): 1/Gamma is 0 in float there and at every later k."""
     nu, mu, gam = params.nu, params.mu, params.gamma
     lgamma, log = math.lgamma, math.log
     log_abs_z = log(abs(z))
@@ -411,16 +414,19 @@ def _ml_terms(params: MLParams, z: float) -> Iterator[tuple[float, float]]:
     # rounding in the running log compounds as O(k^2 eps) over long series.
     log_poch = 0.0
     sign_front = 1.0
-    for k in itertools.count():
-        yield log_poch + k * log_abs_z - lgamma(mu + k * nu), sign_front
-        g = gam + k
-        if g == 0.0:
-            return  # Pochhammer hit zero: the series terminated exactly
-        if gam != 1.0:
-            log_poch += log(abs(g)) - log(k + 1.0)
-        if g < 0:
-            sign_front = -sign_front
-        sign_front *= sign_z
+    try:
+        for k in itertools.count():
+            yield log_poch + k * log_abs_z - lgamma(mu + k * nu), sign_front
+            g = gam + k
+            if g == 0.0:
+                return  # Pochhammer hit zero: the series terminated exactly
+            if gam != 1.0:
+                log_poch += log(abs(g)) - log(k + 1.0)
+            if g < 0:
+                sign_front = -sign_front
+            sign_front *= sign_z
+    except OverflowError:  # raised by lgamma alone
+        return
 
 
 def _hyper_order(params: MLParams) -> int:
@@ -493,7 +499,7 @@ def _ml_mesh_sums(params: MLParams, z: np.ndarray, cfg: SeriesConfig) -> tuple[n
     except NonConvergence:
         return np.zeros(z.size, dtype=bool), np.zeros(z.size)
     unit = _ml_terms(params, 1.0)
-    z_free, fronts = np.array(list(itertools.islice(unit, n))).T[:, :, None]
+    z_free, fronts = np.array(list(itertools.islice(unit, n))).reshape(n, 2).T[:, :, None]
     ended = next(unit, None) is None
     ks = np.arange(n, dtype=float)[:, None]
     log_abs_z = np.array([math.log(abs(x)) for x in z.tolist()])
@@ -628,10 +634,10 @@ def _ml_contour(params: MLParams, z: float) -> float | None:
     Weideman & Trefethen, Math. Comp. 76 (2007) 1341-1356), at t = 1.
 
     E is the inverse Laplace transform of s^(nu gamma - mu) / (s^nu - z)^gamma.
-    Of the regions between its singularities (the branch point at 0 and
-    the poles of the principal sheet, ordered by ``_phi``) the one needing
-    the fewest nodes carries the contour; the poles to its right add their
-    residues.  The sum is tried in each of ``_CONTOUR_PRECISIONS`` in turn.
+    The contour runs left of every pole of the principal sheet, between
+    the branch point at 0 and the pole of least ``_phi``, and every pole
+    adds its residue.  The sum is tried in each of ``_CONTOUR_PRECISIONS``
+    in turn.
     Returns None outside routes A and B (see the module docstring), when
     the double sum is not finite, or when the value fails its accuracy
     guard in every precision; raises ``DomainError`` when a residue
@@ -653,19 +659,18 @@ def _ml_contour(params: MLParams, z: float) -> float | None:
         poles = [(k, cmath.rect(radius, (theta + 2 * math.pi * k) / nu))
                  for k in range(k_lo, k_hi + 1)]
         poles = sorted((pole for pole in poles if _phi(pole[1]) > 1e-15), key=lambda p: _phi(p[1]))
-    phis = [0.0] + [_phi(s) for _, s in poles] + [math.inf]
+    phi_pole = _phi(poles[0][1]) if poles else math.inf
     p_origin = max(0.0, -2.0 * (nu * gam - mu + 1.0))
 
     for real, tols in _CONTOUR_PRECISIONS:
-        found = _contour_param(phis, p_origin, float(np.finfo(real).eps), tols)
+        found = _contour_param(phi_pole, p_origin, float(np.finfo(real).eps), tols)
         if found is None:
             continue
-        region, scale, h, n = found
-        for _, pole in poles[region:]:
+        scale, h, n = found
+        for _, pole in poles:
             if (pole + (1.0 - mu) * cmath.log(pole)).real - math.log(nu) > _LOG_FLOAT_MAX:
                 raise _beyond_float_range(params, z)
-        value, rounding = _contour_sum(params, z, [k for k, _ in poles[region:]],
-                                       scale, h, n, real)
+        value, rounding = _contour_sum(params, z, [k for k, _ in poles], scale, h, n, real)
         # node terms past float range (inf/inf where s^(nu gamma - mu) and
         # (s^nu - z)^gamma overflow apart) say nothing of the value, and
         # the long double's wider range gave wrong ones there (-8.2e-21 for
@@ -678,28 +683,21 @@ def _ml_contour(params: MLParams, z: float) -> float | None:
 
 
 def _contour_param(
-    phis: list[float], p_origin: float, eps: float, tols: tuple[float, ...]
-) -> tuple[int, float, float, int] | None:
-    """(region, mu, h, N) of the parabola needing the fewest nodes, at the
-    first of ``tols`` some region meets within ``_CONTOUR_MAX_NODES``
-    nodes, or None.  ``phis`` are 0, the poles' and inf, in order."""
+    phi_pole: float, p_origin: float, eps: float, tols: tuple[float, ...]
+) -> tuple[float, float, int] | None:
+    """(mu, h, N) of the parabola between the branch point at 0, of
+    strength ``p_origin``, and the nearest pole at ``phi_pole`` (inf when
+    there is none), at the first of ``tols`` it meets within
+    ``_CONTOUR_MAX_NODES`` nodes, or None."""
     log_eps = math.log(eps)
-    # contours beyond this phi would sum exponentials rounding cannot hold
-    limit = math.log(tols[0]) - log_eps
-    regions = [j for j in range(len(phis) - 1) if phis[j] < limit and phis[j] < phis[j + 1]]
     for tol in tols:
         log_tol = math.log(tol)
-        best = None
-        for j in regions:
-            p_j = p_origin if j == 0 else 1.0
-            if j < len(phis) - 2:
-                found = _contour_param_bounded(phis[j], phis[j + 1], p_j, log_tol, log_eps)
-            else:
-                found = _contour_param_unbounded(phis[j], p_j, log_tol, log_eps)
-            if found is not None and (best is None or found[2] < best[2]):
-                best = (j, *found)
-        if best is not None and best[3] <= _CONTOUR_MAX_NODES:
-            return best
+        if phi_pole < math.inf:
+            found = _contour_param_bounded(phi_pole, p_origin, log_tol, log_eps)
+        else:
+            found = _contour_param_unbounded(p_origin, log_tol, log_eps)
+        if found is not None and found[2] <= _CONTOUR_MAX_NODES:
+            return found
     return None
 
 
@@ -734,46 +732,48 @@ def _beyond_float_range(params: MLParams, z: float) -> DomainError:
 
 
 def _contour_param_bounded(
-    phi_j: float, phi_j1: float, p_j: float, log_tol: float, log_eps: float
+    phi_pole: float, p_origin: float, log_tol: float, log_eps: float
 ) -> tuple[float, float, int] | None:
     """Garrappa's OptimalParam_RB at t = 1: (mu, h, N) of the parabola
-    between singularities of strengths p_j (below) and 1 (above, a simple
-    pole), or None when no parabola there meets ``log_tol`` with rounding
-    at ``log_eps``."""
+    between the branch point at 0, of strength p_origin, and a simple pole
+    at ``phi_pole``, or None when no parabola there meets ``log_tol`` with
+    rounding at ``log_eps``."""
     f_max = math.exp(log_tol - log_eps)
-    sq_j = math.sqrt(phi_j)
-    sq_j1 = min(math.sqrt(phi_j1), 2.0 * math.sqrt(log_tol - log_eps) - sq_j)
-    if p_j < 1e-14:  # only the branch point at 0 has strength 0, so sq_j = 0
+    sq_pole = min(math.sqrt(phi_pole), 2.0 * math.sqrt(log_tol - log_eps))
+    if p_origin < 1e-14:
         f_bar = 1.01 + 1.01 / f_max * (f_max - 1.01)
-        bar_j = 0.0
-        bar_j1 = 2.0 * sq_j1 / (2.0 + 1.0 / f_bar)
+        bar_0 = 0.0
+        bar_pole = 2.0 * sq_pole / (2.0 + 1.0 / f_bar)
     else:
-        f_min = 1.01 * (sq_j + sq_j1) / (sq_j1 - sq_j) ** max(p_j, 1.0)
+        power = sq_pole ** max(p_origin, 1.0)
+        if power == 0.0:  # underflow: a pole this near 0 leaves no parabola
+            return None
+        f_min = 1.01 * sq_pole / power
         if f_min >= f_max:
             return None
         f_min = max(f_min, 1.5)
         f_bar = f_min + f_min / f_max * (f_max - f_min)
-        fp = f_bar ** (-1.0 / p_j)
+        fp = f_bar ** (-1.0 / p_origin)
         fq = 1.0 / f_bar
-        w = -phi_j1 / log_tol
+        w = -phi_pole / log_tol
         den = 2.0 + w - (1.0 + w) * fp + fq
-        bar_j = ((2.0 + w + fq) * sq_j + fp * sq_j1) / den
-        bar_j1 = (-(1.0 + w) * fq * sq_j + (2.0 + w - (1.0 + w) * fp) * sq_j1) / den
+        bar_0 = fp * sq_pole / den
+        bar_pole = (2.0 + w - (1.0 + w) * fp) * sq_pole / den
     log_tol -= math.log(f_bar)
-    w = -bar_j1**2 / log_tol
-    scale = (((1.0 + w) * bar_j + bar_j1) / (2.0 + w)) ** 2
-    h = -2.0 * math.pi / log_tol * (bar_j1 - bar_j) / ((1.0 + w) * bar_j + bar_j1)
+    w = -bar_pole**2 / log_tol
+    scale = (((1.0 + w) * bar_0 + bar_pole) / (2.0 + w)) ** 2
+    h = -2.0 * math.pi / log_tol * (bar_pole - bar_0) / ((1.0 + w) * bar_0 + bar_pole)
     return scale, h, math.ceil(math.sqrt(1.0 - log_tol / scale) / h)
 
 
 def _contour_param_unbounded(
-    phi_j: float, p_j: float, log_tol: float, log_eps: float
+    p_origin: float, log_tol: float, log_eps: float
 ) -> tuple[float, float, int] | None:
-    """Garrappa's OptimalParam_RU at t = 1: (mu, h, N) of the parabola to
-    the right of every singularity, the last of strength p_j at ``phi_j``,
-    or None when rounding at ``log_eps`` leaves no admissible parabola."""
-    sq_phi = math.sqrt(phi_j)
-    phibar = 1.01 * phi_j if phi_j > 0 else 0.01
+    """Garrappa's OptimalParam_RU at t = 1: (mu, h, N) of the parabola
+    right of the branch point at 0, of strength p_origin, with no pole to
+    bound it, or None when rounding at ``log_eps`` leaves no admissible
+    parabola."""
+    phibar = 0.01
     sq_phibar = math.sqrt(phibar)
     f_target = 5.0
     for _ in range(50):
@@ -781,9 +781,9 @@ def _contour_param_unbounded(
         n = math.ceil(phibar / math.pi * (1.0 - 1.5 * log_ratio + math.sqrt(1.0 - 2.0 * log_ratio)))
         a = math.pi * n / phibar
         sq_scale = sq_phibar * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
-        if p_j < 1e-14 or 1.0 < ((sq_phibar - sq_phi) / sq_scale) ** (-p_j) < 10.0:
+        if p_origin < 1e-14 or 1.0 < (sq_phibar / sq_scale) ** (-p_origin) < 10.0:
             break
-        sq_phibar = f_target ** (-1.0 / p_j) * sq_scale + sq_phi
+        sq_phibar = f_target ** (-1.0 / p_origin) * sq_scale
         phibar = sq_phibar**2
     else:
         return None
@@ -792,8 +792,8 @@ def _contour_param_unbounded(
     # keep the largest exponential on the contour within rounding reach
     threshold = log_tol - log_eps
     if scale > threshold:
-        q = 0.0 if p_j < 1e-14 else f_target ** (-1.0 / p_j) * math.sqrt(scale)
-        phibar = (q + sq_phi) ** 2
+        q = 0.0 if p_origin < 1e-14 else f_target ** (-1.0 / p_origin) * math.sqrt(scale)
+        phibar = q**2
         if phibar >= threshold:
             return None
         w = math.sqrt(log_eps / (log_eps - log_tol))
@@ -866,7 +866,10 @@ def wright_eval(
 def _wright_terms(params: WrightParams, z: float) -> Iterator[tuple[float, float]]:
     """(log|term_k|, sign_k) of the Wright series at z: (-inf, 0) at a
     lower-list Gamma pole, ``PoleError`` at an upper-list one, and
-    ``DomainError`` where log|Gamma| is inf on both lists."""
+    ``DomainError`` where log|Gamma| is inf on both lists.  The terms end
+    where a lower-list argument that does not fall with k passes float
+    range for lgamma under finite upper ones: 1/Gamma is 0 in float there
+    and at every later k."""
     log_abs_z = math.log(abs(z)) if z != 0.0 else 0.0
     sign_z = 1.0 if z >= 0 else -1.0
     sign_pow = 1.0
@@ -886,6 +889,8 @@ def _wright_terms(params: WrightParams, z: float) -> Iterator[tuple[float, float
                 log_mag, sign = -math.inf, 0.0
                 break
             log_gamma, sign_gamma = _log_gamma(arg)
+            if log_gamma == math.inf and bb >= 0.0 and log_mag < math.inf:
+                return
             log_mag -= log_gamma
             sign *= sign_gamma
         if log_mag != log_mag:  # inf - inf: Gammas beyond float range on both lists

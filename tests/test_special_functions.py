@@ -191,6 +191,16 @@ class TestMLEval:
             ml_eval(MLParams(nu=0.5), 30.0)
         assert time.perf_counter() - start < 0.25
 
+    @pytest.mark.parametrize("nu,mu,z,expected", [
+        (0.5, 1e306, 0.0, 0.0),
+        (0.5, 1e306, 1.0, 0.0),
+        (1e306, 1.0, 1.0, 1.0),
+    ])
+    def test_gamma_beyond_float_range_ends_series(self, nu, mu, z, expected):
+        # 1/Gamma of an argument above about 2.5e305 is 0 in float, and so
+        # is every later term: the series ends there, with no OverflowError
+        assert ml_eval(MLParams(nu=nu, mu=mu), z) == expected
+
     @pytest.mark.parametrize("evaluate", [
         lambda: ml_eval(MLParams(nu=0.5, gamma=2.0), 27.0),
         lambda: ml_eval(MLParams(nu=0.5, gamma=2.0), 30.0),
@@ -467,6 +477,34 @@ class TestMLContour:
         expected = _ml_series_oracle(nu, mu, gamma, z)
         assert ml_eval(params, z) == pytest.approx(expected, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("nu,mu,z,max_abs_z", [
+        # returned 1.4172e-13 for 1.3537e-19
+        (1.0069715956310108, 20.99380130508909, -43.446213943638774, 50.0),
+        # off by 4.5e-7, 8.8e-8 and 4.2e-8 relative
+        (1.0173078940800124, 14.73753510006425, -35.43697582054763, 50.0),
+        (1.0124954582559393, 13.8629748125623, -40.80356005137368, 50.0),
+        (1.0010357731630863, 11.94406944822994, -41.47370736427603, 50.0),
+        # returned 1.07e-13 for 2.04e-81, and 4.47e-18 for 3.42e-118
+        (1.0002, 60.0, -150.0, 200.0),
+        (1.0005, 80.0, -180.0, 200.0),
+    ])
+    def test_route_b_left_of_every_pole(self, nu, mu, z, max_abs_z):
+        # nu just above 1 puts a conjugate pole pair near the origin; a
+        # parabola right of them, sized for a simple pole on its left while
+        # the branch point at 0, as near, has strength 2 (mu - nu - 1), was
+        # taken over the one left of every pole and gave these values
+        got = ml_eval(MLParams(nu=nu, mu=mu), z, SeriesConfig(max_abs_z=max_abs_z))
+        assert got == pytest.approx(_ml_series_oracle(nu, mu, 1.0, z), rel=1e-12, abs=0)
+
+    def test_pole_near_origin_at_large_mu(self):
+        # sqrt(phi)^(2 (mu - nu - 1)) of the nearest pole underflowed to 0
+        # and raised ZeroDivisionError in the parameter search; such a pole
+        # leaves no parabola, and the next stage takes the value
+        assert special_functions._ml_contour(MLParams(nu=1.0005, mu=170.0), -45.0) is None
+        params, z = MLParams(nu=1.001, mu=120.0), -190.0
+        got = ml_eval(params, z, SeriesConfig(max_abs_z=200.0))
+        assert got == pytest.approx(_ml_series_oracle(1.001, 120.0, 1.0, z), rel=1e-12, abs=0)
+
 class TestMLMesh:
     """The mesh evaluator, held against the mpmath series oracle point by
     point, and against scalar ml_eval where the two paths differ only by
@@ -586,6 +624,11 @@ class TestMLMesh:
             ml_eval(params, bad)
         with pytest.raises(DomainError):
             special_functions._ml_eval_mesh(params, np.array([-1.0, bad, -2.0]))
+
+    def test_gamma_beyond_float_range(self):
+        # 1/Gamma(mu) is 0 in float: the far point reads no term at all
+        got = special_functions._ml_eval_mesh(MLParams(nu=0.5, mu=1e306), np.array([0.5, -2.0]))
+        assert got.tolist() == [0.0, 0.0]
 
     def test_budget_and_overflow_match_scalar(self):
         with pytest.raises(NonConvergence):
@@ -842,6 +885,9 @@ class TestWright:
         # 1/Gamma(1e306) vanishes: log|Gamma| reads inf, not an OverflowError
         p = WrightParams(upper=(), lower=((1e306, 1.0),))
         assert wright_eval(p, 0.0) == 0.0
+        # and so is every later term: the series ends, not a NonConvergence
+        # after max_terms vanished ones
+        assert wright_eval(p, 0.3) == 0.0
 
     @pytest.mark.parametrize("upper, lower, z", [
         (((1e306, 1.0),), ((1e306, 1.0),), 0.0),
