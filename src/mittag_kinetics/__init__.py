@@ -17,7 +17,6 @@ from .errors import (
     QuadratureFailure,
     SpecError,
     StabilityError,
-    TieError,
 )
 from .fracint import DEFAULT_FRACINT_CONFIG, FracIntConfig, residual_check, rl_integral
 from .kinetics import (
@@ -26,7 +25,6 @@ from .kinetics import (
     SeriesTerm,
     SolutionSeries,
     invert_three_term,
-    partial_fraction_split,
     solve,
     source_term,
     transform_of,
@@ -47,7 +45,6 @@ from .laplace import (
     lt_eval,
     lt_forward_numeric,
     lt_invert_numeric,
-    self_similarity_check,
 )
 from .reaction_diffusion import (
     RDProblem,
@@ -74,7 +71,6 @@ __all__ = [
     "DomainError",
     "NonConvergence",
     "PoleError",
-    "TieError",
     "QuadratureFailure",
     "InversionFailure",
     "StabilityError",
@@ -104,7 +100,6 @@ __all__ = [
     "lt_eval",
     "lt_forward_numeric",
     "lt_invert_numeric",
-    "self_similarity_check",
     "KineticProblem",
     "ProblemKind",
     "SeriesTerm",
@@ -112,7 +107,6 @@ __all__ = [
     "solve",
     "source_term",
     "transform_of",
-    "partial_fraction_split",
     "invert_three_term",
     "FracIntConfig",
     "DEFAULT_FRACINT_CONFIG",

@@ -24,10 +24,6 @@ class PoleError(MittagKineticsError):
     """Evaluation point coincides (within tolerance) with a pole."""
 
 
-class TieError(MittagKineticsError):
-    """Two rate parameters are too close for a partial-fraction split."""
-
-
 class QuadratureFailure(MittagKineticsError):
     """Numerical integration could not reach the requested tolerance."""
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -127,24 +127,23 @@ def rl_integral(f: Callable[[float], float], nu: float, t: float,
 
 
 def residual_check(problem: KineticProblem, solution: Callable[[float], float],
-                   t_grid: Sequence[float],
+                   t_grid: Iterable[float],
                    cfg: FracIntConfig = DEFAULT_FRACINT_CONFIG) -> list[float]:
     """Defect of a claimed solution in its own integral equation.
 
-    Returns N(t) - source(t) + c**nu * (I^nu N)(t) for each grid time;
-    values near zero certify the solution. The quadrature is told about
-    the solution's t**(mu-1) short-time behavior so singular sources do
-    not degrade it.
+    Returns N(t) - source(t) + c**nu * (I^nu N)(t) for each time of the
+    grid, an iterable read once (list, ndarray, generator); values near
+    zero certify the solution. Only the step h is read from cfg: the
+    quadrature declares the solution's t**(mu-1) short-time behavior
+    (singular_power = mu - 1) so singular sources do not degrade it, and
+    grades its mesh by max(1, 2/nu).
     """
+    t_grid = [float(t) for t in t_grid]
     if not t_grid:
         return []
     if min(t_grid) <= 0.0:
         raise DomainError("residuals are defined for positive times only")
-    rho = problem.mu - 1.0
-    if cfg.singular_power != 0.0 or cfg.grading != 1.0:
-        eff = cfg
-    else:
-        eff = replace(cfg, singular_power=rho, grading=max(1.0, 2.0 / problem.nu))
+    eff = replace(cfg, singular_power=problem.mu - 1.0, grading=max(1.0, 2.0 / problem.nu))
     c_nu = problem.c**problem.nu
     out = []
     for t in t_grid:

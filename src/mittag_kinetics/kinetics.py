@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, PoleError, TieError, refuse_non_count, refuse_non_finite
+from .errors import DomainError, NonConvergence, refuse_non_count, refuse_non_finite
 from .laplace import (
     MLBasic,
     MLGeneral,
@@ -152,7 +152,6 @@ class SolutionSeries:
     """Finite Mittag-Leffler combination solving a kinetic equation."""
 
     terms: tuple[SeriesTerm, ...]
-    notes: tuple[str, ...] = ()
 
     def evaluate(self, t: float | np.ndarray,
                  cfg: SeriesConfig = DEFAULT_SERIES_CONFIG) -> float | np.ndarray:
@@ -226,10 +225,7 @@ def solve(problem: KineticProblem) -> SolutionSeries:
     d_nu = problem.d**nu
     if abs(c_nu - d_nu) < _TIE_REL_TOL * max(c_nu, d_nu):
         ml = MLParams(nu=nu, mu=mu, gamma=2.0)
-        return SolutionSeries(
-            (SeriesTerm(n0, mu - 1.0, ml, c_nu),),
-            notes=("tie-break: rates coincide, squared-denominator branch",),
-        )
+        return SolutionSeries((SeriesTerm(n0, mu - 1.0, ml, c_nu),))
     weight = n0 / (c_nu - d_nu)
     ml = MLParams(nu=nu, mu=mu - nu)
     terms = (
@@ -267,26 +263,6 @@ def source_term(problem: KineticProblem, t: float,
     rate = problem.d if kind is ProblemKind.TWO_RATE else problem.c
     gamma = problem.gamma if kind is ProblemKind.ML_GAMMA_SOURCE else 1.0
     return prefactor * ml_eval(MLParams(nu=nu, mu=mu, gamma=gamma), -(rate**nu) * t**nu, cfg)
-
-
-def partial_fraction_split(c: float, d: float, nu: float, p: complex) -> tuple[complex, complex]:
-    """Both routes through the two-rate denominator split, for comparison.
-
-    Returns (product form, split form) of
-    1 / ((p**nu + c**nu)(p**nu + d**nu)); the caller asserts equality.
-    """
-    if c <= 0.0 or d <= 0.0 or nu <= 0.0:
-        raise DomainError("rates and order must be positive")
-    c_nu, d_nu = c**nu, d**nu
-    if abs(c_nu - d_nu) < _TIE_REL_TOL * max(c_nu, d_nu):
-        raise TieError(f"rates c={c}, d={d} coincide at order nu={nu}")
-    p_nu = complex(p) ** nu
-    den_c, den_d = p_nu + c_nu, p_nu + d_nu
-    if min(abs(den_c), abs(den_d)) < 1e-12:
-        raise PoleError(f"p={p} sits on a denominator zero")
-    product = 1.0 / (den_c * den_d)
-    split = (1.0 / den_d - 1.0 / den_c) / (c_nu - d_nu)
-    return product, split
 
 
 def invert_three_term(d: ThreeTermAlpha | ThreeTermBeta, t: float, outer_terms: int = 64,

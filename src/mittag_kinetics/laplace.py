@@ -51,7 +51,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union, get_args
+from typing import Callable, Union, get_args
 
 import mpmath as mp
 
@@ -622,14 +622,3 @@ def lt_invert_numeric(
         )
     return fine
 
-
-def self_similarity_check(nu: float, b: float, p: float) -> tuple[float, float]:
-    """Homogeneity check data for eta(p) = p^nu: returns (eta(b p), b^nu eta(p)).
-
-    The two components are equal exactly when eta is degree-nu homogeneous,
-    which is the structural property behind infinitely divisible ML-type
-    transforms.
-    """
-    if not (b > 0 and p > 0):
-        raise DomainError(f"self-similarity check needs b, p > 0, got b={b}, p={p}")
-    return ((b * p) ** nu, b**nu * p**nu)

@@ -243,6 +243,19 @@ class TestResidualCheck:
         res = residual_check(problem, solve(problem), self.grid)
         assert max(abs(r) for r in res) < 1e-4
 
+    @pytest.mark.parametrize(
+        "grid",
+        [lambda: np.array([0.5, 1.0]), lambda: (t for t in (0.5, 1.0)), lambda: np.array([])],
+        ids=["ndarray", "generator", "empty-ndarray"],
+    )
+    def test_grid_is_any_iterable(self, grid):
+        # read once, as a list: a generator must not be spent by the checks
+        pr = KineticProblem(ProblemKind.BASIC, n0=1.0, c=1.0, nu=0.7)
+        sol = solve(pr)
+        want = residual_check(pr, sol, [float(t) for t in grid()])
+        assert len(want) == len(list(grid()))
+        assert residual_check(pr, sol, grid()) == want
+
     def test_grid_validation(self):
         pr = KineticProblem(ProblemKind.BASIC, n0=1.0, c=1.0, nu=0.5)
         assert residual_check(pr, lambda t: 0.0, []) == []

@@ -1,0 +1,88 @@
+"""Fingerprint every benchmark task's CLI output, to show that a change
+leaves the outputs of all three workloads byte-identical.
+
+    python tools/cli_outputs.py --seeds 1,2,3 > change.json
+    python tools/cli_outputs.py --seeds 1,2,3 --root ../parent > parent.json
+    cmp parent.json change.json
+
+Every task of each workload of ``perfbench/workloads.py`` (``curves``,
+``certify``, ``rd-field``) at each seed runs once, in one process and in
+the workloads' order, through ``mittag_kinetics.cli.main`` with the
+arguments ``perfbench/run.py`` passes (``TASK --spec SPEC --out OUT
+--format json``). The spec and output files are named relative to a
+scratch working directory, so that no absolute path reaches a message
+and checkouts in different directories hash alike. The JSON printed maps ``workload/seed/NNN-task`` to the SHA-256
+of the ``--out`` bytes, the captured stderr and the exit code; a task that
+raises records the exception's type and message in place of the code.
+``--root`` names the source checkout whose ``src`` package and
+workloads are run; it defaults to the one holding this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+
+def _digest(out: bytes, err: str, rc: int | str) -> str:
+    h = hashlib.sha256()
+    for part in (out, err.encode("utf-8"), str(rc).encode("utf-8")):
+        h.update(b"%d:" % len(part) + part)
+    return h.hexdigest()
+
+
+def _run_task(cli, task, stem: str) -> str:
+    spec, out = Path(f"{stem}.json"), Path(f"{stem}.out.json")
+    spec.write_text(json.dumps(task.spec), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main([task.name, "--spec", str(spec), "--out", str(out), "--format", "json"])
+        except Exception as exc:  # a crash is an outcome to fingerprint, not the end of the run
+            rc = f"raised {type(exc).__name__}: {exc}"
+            print(f"cli_outputs: {stem} raised:\n{traceback.format_exc()}", file=sys.__stderr__)
+    return _digest(out.read_bytes() if out.exists() else b"", err.getvalue(), rc)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", required=True, help="comma-separated workload seeds, e.g. 1,2,3")
+    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                    help="source checkout to run (default: this script's)")
+    args = ap.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+
+    import mittag_kinetics.cli as cli
+    import workloads
+
+    if Path(cli.__file__).resolve().parent != root / "src" / "mittag_kinetics":
+        print(f"cli_outputs: imported {cli.__file__}, not {root}'s", file=sys.stderr)
+        return 2
+    digests = {}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            for workload in workloads.WORKLOADS:
+                for seed in seeds:
+                    for i, task in enumerate(workloads.generate(workload, seed)):
+                        stem = f"{i:03d}-{task.ident}"
+                        digests[f"{workload}/{seed}/{stem}"] = _run_task(cli, task, stem)
+        finally:
+            os.chdir(home)
+    print(json.dumps(digests, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
