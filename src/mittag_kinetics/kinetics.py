@@ -164,7 +164,8 @@ class SolutionSeries:
         sends every other point through ``ml_eval``: values agree with the
         float path to rounding (not bit for bit), errors are the same.
         At t = 0 a term with a negative power raises ``DomainError``, one
-        with power 0 gives weight * E(0), any other 0.
+        with power 0 gives weight * E(0), any other 0.  A term's power of
+        t, or N(t), beyond float range raises ``DomainError``.
         """
         if isinstance(t, np.ndarray):
             return self._evaluate_mesh(t, cfg)
@@ -182,7 +183,13 @@ class SolutionSeries:
                 total += prefactor * ml_eval(term.ml, 0.0, cfg)
                 continue
             z = -term.rate * t**term.ml.nu
-            total += term.weight * t**term.power * ml_eval(term.ml, z, cfg)
+            try:
+                scale = t**term.power
+            except OverflowError:  # a float power raises where numpy gives inf
+                raise _beyond_float_range(t) from None
+            total += term.weight * scale * ml_eval(term.ml, z, cfg)
+        if not math.isfinite(total):
+            raise _beyond_float_range(t)
         return total
 
     def _evaluate_mesh(self, t: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
@@ -197,11 +204,35 @@ class SolutionSeries:
         tp = t[positive]
         for term in self.terms:
             z = -term.rate * tp**term.ml.nu
-            total[positive] += term.weight * tp**term.power * _ml_eval_mesh(term.ml, z, cfg)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                scale = term.weight * tp**term.power
+            if not np.isfinite(scale).all():
+                raise _beyond_float_range(tp[~np.isfinite(scale)][0])
+            values = _ml_eval_mesh(term.ml, z, cfg)
+            with np.errstate(over="ignore", invalid="ignore"):
+                total[positive] += scale * values
+        if not np.isfinite(total).all():
+            raise _beyond_float_range(t[~np.isfinite(total)][0])
         return total
 
     def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
         return self.evaluate(t)
+
+
+def _beyond_float_range(t: float) -> DomainError:
+    return DomainError(f"N(t) or one of its terms is beyond float range at t = {t}")
+
+
+def _power_source_weight(problem: KineticProblem) -> float:
+    """n0 Gamma(mu), the power source's weight in its solution and in its
+    transform; DomainError when it is beyond float range."""
+    try:
+        weight = problem.n0 * math.gamma(problem.mu)
+    except OverflowError:  # Gamma(mu) alone is beyond float range
+        weight = math.inf
+    if not math.isfinite(weight):
+        raise DomainError(f"n0 Gamma(mu) is beyond float range at n0={problem.n0}, mu={problem.mu}")
+    return weight
 
 
 def solve(problem: KineticProblem) -> SolutionSeries:
@@ -211,7 +242,7 @@ def solve(problem: KineticProblem) -> SolutionSeries:
     kind = problem.kind
     if kind in (ProblemKind.BASIC, ProblemKind.POWER_SOURCE):
         # basic is the power source at mu = 1: n0 Gamma(1) t^0 is n0 exactly
-        terms = (SeriesTerm(n0 * math.gamma(mu), mu - 1.0, MLParams(nu=nu, mu=mu), c_nu),)
+        terms = (SeriesTerm(_power_source_weight(problem), mu - 1.0, MLParams(nu=nu, mu=mu), c_nu),)
         return SolutionSeries(terms)
     if kind is ProblemKind.ML_GAMMA_SOURCE:
         ml = MLParams(nu=nu, mu=mu, gamma=problem.gamma + 1.0)
@@ -242,7 +273,7 @@ def transform_of(problem: KineticProblem) -> TransformDescriptor:
     if kind is ProblemKind.BASIC:
         return MLBasic(c=c, nu=nu, n0=n0)
     if kind is ProblemKind.POWER_SOURCE:
-        return MLGeneral(c=c, nu=nu, mu=mu, gamma=0.0, n0=n0 * math.gamma(mu))
+        return MLGeneral(c=c, nu=nu, mu=mu, gamma=0.0, n0=_power_source_weight(problem))
     if kind is ProblemKind.ML_GAMMA_SOURCE:
         return MLGeneral(c=c, nu=nu, mu=mu, gamma=problem.gamma, n0=n0)
     if kind is ProblemKind.ML_SOURCE:
@@ -276,7 +307,7 @@ def invert_three_term(d: ThreeTermAlpha | ThreeTermBeta, t: float, outer_terms: 
     numerator order. Truncation stops once two consecutive terms fall
     below the series tolerance; if the budget runs out first and the tail
     estimate (twice the last term) is above the accepted level,
-    NonConvergence is raised.
+    NonConvergence is raised; a sum beyond float range raises DomainError.
     """
     if t <= 0.0:
         raise DomainError(f"time must be positive, got {t}")
@@ -302,6 +333,8 @@ def invert_three_term(d: ThreeTermAlpha | ThreeTermBeta, t: float, outer_terms: 
         s = total + y
         comp = (s - total) - y
         total = s
+        if not math.isfinite(total):
+            raise DomainError(f"outer series sum is beyond float range at t = {t}")
         if r > 0 and abs(term) <= cfg.rel_tol * max(abs(total), 1e-300):
             small_run += 1
             if small_run >= 2:

@@ -9,8 +9,8 @@ oracles sit alongside:
 * ``lt_forward_numeric`` integrates e^{-pt} f(t) dt by adaptive quadrature,
   with a power-law substitution that removes an integrable t^rho endpoint
   singularity.
-* ``lt_invert_numeric`` inverts a transform in two stages, each
-  self-checked by doubling its node count and comparing.
+* ``lt_invert_numeric`` inverts a descriptor in two stages, both accepted
+  by one node-doubling test that a non-finite sum fails.
   - Double precision first, for one-sided descriptors with known singular
     points and none in the right half-plane: the midpoint rule on the
     optimised (modified) Talbot contour at 32 and 64 nodes.  Its largest
@@ -366,13 +366,20 @@ TransformDescriptor = Union[
 DESCRIPTOR_KINDS: dict[str, type] = {cls.__name__: cls for cls in get_args(TransformDescriptor)}
 
 
+def _refuse_non_descriptor(d) -> None:
+    if not isinstance(d, _Descriptor):
+        raise DomainError(f"expected a catalog transform descriptor, got {type(d).__name__}")
+
+
 def lt_eval(d: TransformDescriptor, p) -> complex:
     """Evaluate the closed-form transform at real or complex p.
 
     Real p is checked against the kind's stated region of validity
     (DomainError outside it, PoleError on a singular point); complex p is
     evaluated on the principal branch of p^nu with only the pole guard.
+    Anything that is not a catalog descriptor raises DomainError.
     """
+    _refuse_non_descriptor(d)
     # real p: any number without imaginary part, numpy's real scalars included
     if isinstance(p, numbers.Complex) and p.imag == 0:
         pr = float(p.real)
@@ -536,40 +543,40 @@ def _talbot_sum(F, t: float, M: int, r: float, dps: int) -> float:
         return float(rr / (M * tt) * acc)
 
 
-def _contour_scale(d, t: float, M: int) -> float:
+def _contour_scale(strip: float | None, rhp: float, t: float, M: int) -> float:
     r = 2.0 * M / 5.0
-    if isinstance(d, _Descriptor):
-        sigma = d.strip_sigma()
-        if sigma is not None:
-            # two-sided transform: the contour's rightmost point r/t must
-            # stay inside the convergence strip Re p < sigma
-            r = min(r, 0.5 * t * sigma)
-        rhp = d.rhp_sigma()
-        if rhp > 0.0:
-            r = max(r, 1.5 * t * rhp)
+    if strip is not None:
+        # two-sided: the contour's rightmost point r/t stays inside Re p < strip
+        r = min(r, 0.5 * t * strip)
+    if rhp > 0.0:
+        r = max(r, 1.5 * t * rhp)
     return r
 
 
+def _settled(coarse: float, fine: float, target: float) -> bool:
+    """Both stages' node-doubling test: fine is finite and near coarse."""
+    return math.isfinite(fine) and abs(fine - coarse) <= 10.0 * target * max(abs(fine), 1.0)
+
+
 def lt_invert_numeric(
-    d: Union[TransformDescriptor, Callable],
+    d: TransformDescriptor,
     t: float,
     cfg: InversionConfig = DEFAULT_INVERSION_CONFIG,
 ) -> float:
-    """Numerically invert a transform at time t on a Talbot contour.
+    """Numerically invert a catalog transform at time t on a Talbot contour.
 
-    Accepts either a catalog descriptor (which supplies contour metadata:
-    strip bounds for two-sided kinds, right-half-plane pole locations,
-    singular points off the negative real axis) or a bare callable F(p)
-    that must accept mpmath complex arguments.
+    The descriptor supplies the contour facts: strip bounds for two-sided
+    kinds, right-half-plane pole locations and singular points off the
+    negative real axis.  Anything else raises DomainError.
 
     A one-sided descriptor with known singular points and none in the
     right half-plane is first summed in double precision on the modified
     Talbot contour at 32 and 64 nodes; the 64-node value is returned when
-    the two agree within 10x the precision target and the rounding
-    estimate is below it (both relative for O(1) values, absolute below).
-    Otherwise, and for every other transform, the fixed-Talbot sum runs in
-    mpmath at cfg.M and 2 cfg.M nodes, and the 2M-node value is returned
-    after the same agreement check; disagreement raises InversionFailure.
+    it is finite, the two agree within 10x the precision target and the
+    rounding estimate is below it (relative for O(1) values, absolute
+    below).  Otherwise the fixed-Talbot sum runs in mpmath at cfg.M and
+    2 cfg.M nodes, and the 2M-node value is returned after the same
+    finiteness and agreement check; failing it raises InversionFailure.
 
     A stage is used only when every known singular point p with weight
     e^{Re(p) t} not far below the target lies inside both of its
@@ -578,34 +585,27 @@ def lt_invert_numeric(
     one, InversionFailure is raised.  A gamma-factor product of outputs
     alone, a density on t < 0, gives 0.0 at once.
     """
+    _refuse_non_descriptor(d)
     if not 0 < t < math.inf:
         raise DomainError(f"inversion requires a finite t > 0, got {t}")
     if isinstance(d, _GammaFactors) and all(s < 0 for _, _, s in d._factors):
         return 0.0  # outputs alone: u = -(sum of outputs) <= 0
-    F, points = d, ()
-    if isinstance(d, _Descriptor):
-        if d.inversion_exponent() > 2.0 + 1e-12:
-            raise DomainError(
-                "denominator exponent above 2 puts singularities outside the "
-                "Talbot contour; refusing inversion"
-            )
-        F = d.value
-        known = d.singular_points()
-        if known is not None:
-            floor = math.log(_NEGLIGIBLE * cfg.precision_target)
-            points = [p for p in known if p.real * t > floor]
-            if (d.strip_sigma() is None and d.rhp_sigma() <= 0.0
-                    and all(_encloses(points, t, N, _MODIFIED_TALBOT) for N in _DOUBLE_NODES)):
-                (coarse, _), (fine, rounding) = (_modified_talbot_sum(F, t, N)
-                                                 for N in _DOUBLE_NODES)
-                scale = max(abs(fine), 1.0)
-                if (abs(fine - coarse) <= 10.0 * cfg.precision_target * scale
-                        and rounding <= cfg.precision_target * scale):
-                    return fine
+    if d.inversion_exponent() > 2.0 + 1e-12:
+        raise DomainError("denominator exponent above 2 puts singularities outside the "
+                          "Talbot contour; refusing inversion")
+    F, target = d.value, cfg.precision_target
+    known, strip, rhp = d.singular_points(), d.strip_sigma(), d.rhp_sigma()
+    floor = math.log(_NEGLIGIBLE * target)
+    points = [p for p in known or () if p.real * t > floor]
+    if (known is not None and strip is None and rhp <= 0.0
+            and all(_encloses(points, t, N, _MODIFIED_TALBOT) for N in _DOUBLE_NODES)):
+        (coarse, _), (fine, rounding) = (_modified_talbot_sum(F, t, N) for N in _DOUBLE_NODES)
+        if _settled(coarse, fine, target) and rounding <= target * max(abs(fine), 1.0):
+            return fine
 
     results = []
     for M in (cfg.M, 2 * cfg.M):
-        r = _contour_scale(d, t, M)
+        r = _contour_scale(strip, rhp, t, M)
         if not _encloses(points, t, r, _FIXED_TALBOT):
             raise InversionFailure(
                 f"a singular point of the transform lies outside the {M}-node "
@@ -614,11 +614,9 @@ def lt_invert_numeric(
         dps = 16 + int(0.18 * max(M, 2.5 * r))
         results.append(_talbot_sum(F, t, M, r, dps))
     coarse, fine = results
-    scale = max(abs(fine), 1.0)
-    if abs(fine - coarse) > 10.0 * cfg.precision_target * scale:
+    if not _settled(coarse, fine, target):
         raise InversionFailure(
             f"node doubling moved the inverse at t={t} by {abs(fine - coarse):.3e} "
-            f"(target {cfg.precision_target:.1e}); transform may violate contour assumptions"
+            f"(target {target:.1e}); transform may violate contour assumptions"
         )
     return fine
-

@@ -60,6 +60,19 @@ class TestSolveKinetic:
         assert target.exists()
 
 
+    @pytest.mark.parametrize("n0, mu", [(1.0, 172.0), (1e10, 171.0)])
+    def test_power_source_weight_beyond_float_range(self, tmp_path, capsys, n0, mu):
+        # Gamma(172) ended in a traceback; 1e10 Gamma(171) wrote inf rows
+        spec = basic_spec(parameters={"kind": "power-source", "n0": n0, "c": 1.0,
+                                      "nu": 0.5, "mu": mu},
+                          grid={"start": 0.5, "stop": 1.0, "n": 2})
+        assert main(["solve-kinetic", "--spec", write_spec(tmp_path, spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert (err["type"], err["kind"]) == ("DomainError", "spec")
+
+
 class TestOutputPath:
     # the three-term spec fails numerically (exit 3) once computed, so
     # exit 2 shows the path was refused before any computation
@@ -264,6 +277,22 @@ class TestInversionTasks:
         assert main(["invert-three-term", "--spec", write_spec(tmp_path, spec)]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "numerical"
+
+    def test_three_term_beyond_float_range_is_numerical_failure(self, tmp_path, capsys):
+        # the outer series sums once wrote [t, inf] and [t, nan] rows,
+        # which are not JSON, with exit 0
+        spec = {
+            "version": "1",
+            "parameters": {"alpha": 0.21390099888124747, "beta": 0.20975756267490261,
+                           "a": -2.9125305091202947, "b": -8.326539888178841},
+            "grid": {"start": 0.018436655708995643, "stop": 0.02, "n": 2},
+        }
+        out = tmp_path / "out.json"
+        args = ["invert-three-term", "--spec", write_spec(tmp_path, spec), "--format", "json"]
+        assert main(args + ["--out", str(out)]) == 3
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert (err["type"], err["kind"]) == ("DomainError", "numerical")
 
     def test_pole_outside_contour_is_numerical_failure(self, tmp_path, capsys):
         # the roots -0.05 +- 100i lie outside every contour at t = 1; the

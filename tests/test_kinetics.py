@@ -176,6 +176,30 @@ class TestSolutionSeries:
         with pytest.raises(DomainError):
             basic(np.array([0.5, -1.0]))
 
+    @pytest.mark.parametrize("n0, mu", [(1.0, 172.0), (1e10, 171.0)])
+    def test_power_source_weight_beyond_float_range(self, n0, mu):
+        # Gamma(172) raised an untyped OverflowError; 1e10 Gamma(171) is
+        # inf, and N(0.5) came out inf where it is about 6.7e-42
+        problem = KineticProblem(ProblemKind.POWER_SOURCE, n0=n0, c=1.0, nu=0.5, mu=mu)
+        for build in (solve, transform_of):
+            with pytest.raises(DomainError, match="float range"):
+                build(problem)
+
+    def test_power_beyond_float_range(self):
+        # 200.0**149.0 raised an untyped OverflowError in the float path
+        sol = solve(KineticProblem(ProblemKind.POWER_SOURCE, n0=1.0, c=1.0, nu=0.5, mu=150.0))
+        with pytest.raises(DomainError, match="float range"):
+            sol.evaluate(200.0)
+        with pytest.raises(DomainError, match="float range"):
+            sol.evaluate(np.array([1.0, 200.0]))
+
+    def test_sum_beyond_float_range(self):
+        # two finite terms whose sum overflows
+        term = SeriesTerm(1e308, 0.0, MLParams(nu=1.0), 1.0)
+        for t in (0.0, 1e-3, np.array([1e-3, 0.5])):
+            with pytest.raises(DomainError, match="float range"):
+                SolutionSeries((term, term)).evaluate(t)
+
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.7])
     def test_classical_limit(self, c):
         sol = solve(KineticProblem(ProblemKind.BASIC, n0=1.7, c=c, nu=1.0))
@@ -368,6 +392,15 @@ class TestInvertThreeTerm:
             warnings.simplefilter("error")
             got = invert_three_term(d, 0.5741687900124413, outer_terms=256)
         assert got == pytest.approx(0.11722915907284154, rel=1e-11)
+
+    @pytest.mark.parametrize("t", [0.018436655708995643, 0.02])
+    def test_sum_beyond_float_range(self, t):
+        # the outer terms pass 1e270 and the inverse leaves float range;
+        # the sum once came out inf at the first t and nan at the second
+        d = ThreeTermAlpha(a=-2.9125305091202947, b=-8.326539888178841,
+                           alpha=0.21390099888124747, beta=0.20975756267490261)
+        with pytest.raises(DomainError, match="float range"):
+            invert_three_term(d, t)
 
     def test_divergence_guard(self):
         d = ThreeTermAlpha(a=8.0, b=1.0, alpha=2.0, beta=1.0)

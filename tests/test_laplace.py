@@ -324,8 +324,17 @@ class TestInvertNumeric:
         assert lt_invert_numeric(d, t) == pytest.approx(expected, rel=1e-8)
 
     def test_callable_transform(self):
-        got = lt_invert_numeric(lambda p: 1 / (p + 2) ** 2, 0.9)
-        assert got == pytest.approx(0.9 * math.exp(-1.8), rel=1e-9)
+        # a bare callable carries no singular points: 1/((p + 0.1)^2 + 1e4)
+        # once inverted to about 1e-21 at t = 1 (true -4.58e-3), both
+        # contours missing its poles at -0.1 +- 100i
+        for F in (lambda p: 1 / (p + 2) ** 2, lambda p: 1 / ((p + 0.1) ** 2 + 1e4)):
+            with pytest.raises(DomainError, match="function"):
+                lt_invert_numeric(F, 0.9)
+            with pytest.raises(DomainError, match="function"):
+                lt_eval(F, 1.0)
+        # 1/(p + 2)^2 is a quarter of (1 + p/2)^(-2)
+        got = lt_invert_numeric(GammaPower(alpha=2.0, beta=0.5), 0.9)
+        assert 0.25 * got == pytest.approx(0.9 * math.exp(-1.8), rel=1e-9)
 
     def test_requires_positive_t(self):
         with pytest.raises(DomainError):
@@ -343,11 +352,19 @@ class TestInvertNumeric:
             lt_invert_numeric(d, 1.0)
 
     def test_self_check_catches_missed_pole(self):
-        # a bare callable gives the contour no metadata; at large t the
-        # M-node contour misses the pole at p=1 while the 2M-node contour
-        # encloses it, so the node-doubling check must fire
+        # the pole at p = 1 widens both contours to r = 1.5 t, which 64
+        # nodes do not resolve at t = 50: the sums move by 1.6e17 (of
+        # e^50/3 = 1.7e21), so the node-doubling check must fire
         with pytest.raises(InversionFailure):
-            lt_invert_numeric(lambda p: 1 / (p - 1), 30.0)
+            lt_invert_numeric(ThreeTermBeta(a=1.0, b=-2.0, alpha=2.0, beta=1.0), 50.0)
+
+    @pytest.mark.parametrize("t", [600.0, 700.0])
+    def test_non_finite_sum_is_refused(self, t):
+        # the inverse (1.3e260 at t = 600) is in float range, but both sums
+        # are inf: their difference is nan and the bound inf, so a test on
+        # the difference alone once returned inf
+        with pytest.raises(InversionFailure):
+            lt_invert_numeric(ThreeTermBeta(a=1.0, b=-2.0, alpha=2.0, beta=1.0), t)
 
     def test_inversion_config_validation(self):
         with pytest.raises(DomainError):
@@ -540,12 +557,11 @@ class TestTwoStageInversion:
          math.exp(-0.9 / 0.8) / 1.6),
         (ThreeTermBeta(a=1.0, b=-2.0, alpha=2.0, beta=1.0), 1.5, InversionConfig(),
          (math.exp(1.5) - math.exp(-3.0)) / 3.0),
-        (lambda p: 1 / (p + 2) ** 2, 0.9, InversionConfig(), 0.9 * math.exp(-1.8)),
         (ThreeTermAlpha(a=0.6, b=1.0, alpha=1.5, beta=0.5), 1.0, InversionConfig(), None),
     ])
     def test_ineligible_transforms_skip_double_stage(self, monkeypatch, d, t, cfg, want):
-        # two-sided kinds, right-half-plane poles, bare callables and
-        # unknown singular points go to the mpmath stage only
+        # two-sided kinds, right-half-plane poles and unknown singular
+        # points go to the mpmath stage only
         calls = _count_stages(monkeypatch)
         got = lt_invert_numeric(d, t, cfg)
         assert calls == {"double": 0, "mp": 2}

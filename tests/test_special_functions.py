@@ -698,6 +698,18 @@ class TestMPRerun:
             assert wright_eval(params, z) == pytest.approx(expected, rel=1e-12, abs=0), z
         assert len(calls) == len(points)
 
+    @pytest.mark.parametrize("z", [0.01, -0.01, 0.5, -0.5])
+    def test_rerun_after_float_overflow(self, monkeypatch, z):
+        # Gamma(171) z^k / k! sums to Gamma(171) e^z, in float range, but its
+        # first term's log, 706.6, passes the float sum's overflow cut: the
+        # peak comes from the log-space scan, and the value from the rerun
+        calls = self._count_reruns(monkeypatch)
+        got = wright_eval(WrightParams(upper=((171.0, 0.0),), lower=()), z)
+        with mp.workdps(40):
+            expected = float(mp.gamma(171) * mp.exp(mp.mpf(z)))
+        assert got == pytest.approx(expected, rel=1e-15, abs=0)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("evaluate, params, z, reruns", [
         (ml_eval, MLParams(nu=0.5, mu=1.0), -1.0, 0),
         (ml_eval, MLParams(nu=1.5, mu=1.0, gamma=2.0), -40.0, 1),

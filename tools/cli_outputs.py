@@ -3,7 +3,7 @@ leaves the outputs of all three workloads byte-identical.
 
     python tools/cli_outputs.py --seeds 1,2,3 > change.json
     python tools/cli_outputs.py --seeds 1,2,3 --root ../parent > parent.json
-    cmp parent.json change.json
+    python tools/cli_outputs.py --compare parent.json change.json
 
 Every task of each workload of ``perfbench/workloads.py`` (``curves``,
 ``certify``, ``rd-field``) at each seed runs once, in one process and in
@@ -16,6 +16,10 @@ of the ``--out`` bytes, the captured stderr and the exit code; a task that
 raises records the exception's type and message in place of the code.
 ``--root`` names the source checkout whose ``src`` package and
 workloads are run; it defaults to the one holding this script.
+
+``--compare BEFORE AFTER`` reads two such files instead, prints each task
+key whose fingerprint differs or that one file lacks, and exits 1 if
+there is any.
 """
 
 from __future__ import annotations
@@ -52,12 +56,28 @@ def _run_task(cli, task, stem: str) -> str:
     return _digest(out.read_bytes() if out.exists() else b"", err.getvalue(), rc)
 
 
+def compare(before: Path, after: Path) -> int:
+    old, new = (json.loads(path.read_text(encoding="utf-8")) for path in (before, after))
+    keys = sorted(old.keys() | new.keys())
+    changed = [key for key in keys if old.get(key) != new.get(key)]
+    for key in changed:
+        side = "differs" if key in old and key in new else f"only in {before if key in old else after}"
+        print(f"{key}: {side}")
+    print(f"cli_outputs: {len(changed)} of {len(keys)} task outputs differ", file=sys.stderr)
+    return 1 if changed else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", required=True, help="comma-separated workload seeds, e.g. 1,2,3")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--seeds", help="comma-separated workload seeds, e.g. 1,2,3")
+    mode.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"),
+                      help="fingerprint files to compare task by task")
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                     help="source checkout to run (default: this script's)")
     args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     seeds = [int(s) for s in args.seeds.split(",")]
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
