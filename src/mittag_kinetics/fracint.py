@@ -109,6 +109,8 @@ def rl_integral(f: Callable[[float], float], nu: float, t: float,
         n = max(2, int(np.ceil(t / cfg.h)))
     rho = cfg.singular_power
     x = (np.arange(n + 1) / n) ** cfg.grading
+    if x[1] < np.finfo(float).tiny:  # subnormal or 0: the first cell's slope overflows
+        raise QuadratureFailure(f"order {nu:.6g}: mesh node (1/{n})^{cfg.grading:.6g} underflows")
     u = t * x
     if rho == 0.0:
         g = _sample(f, u)
@@ -123,7 +125,10 @@ def rl_integral(f: Callable[[float], float], nu: float, t: float,
     m1 = _cell_moments(x, rho + 2.0, nu, t)
     slope = np.diff(g) / np.diff(u)
     cells = g[:-1] * m0 + slope * (m1 - u[:-1] * m0)
-    return float(math.exp(-_log_gamma(nu)[0]) * np.sum(cells))
+    total = math.exp(-_log_gamma(nu)[0]) * float(np.sum(cells))
+    if not math.isfinite(total):
+        raise QuadratureFailure(f"the order-{nu:.6g} quadrature sum is not finite")
+    return total
 
 
 def residual_check(problem: KineticProblem, solution: Callable[[float], float],

@@ -83,12 +83,10 @@ class KineticProblem:
     * POWER_SOURCE: n0 * t**(mu-1).
     * ML_GAMMA_SOURCE: n0 * t**(mu-1) * E[nu, mu; gamma](-c**nu t**nu).
     * ML_SOURCE: n0 * t**(mu-1) * E[nu, mu](-c**nu t**nu), same rate c
-      in source and loss term. Requires mu > 1 so the solution's
-      lowered-index Mittag-Leffler term stays inside the supported
-      parameter domain.
+      in source and loss term: ML_GAMMA_SOURCE at gamma = 1.
     * TWO_RATE: n0 * t**(mu-1) * E[nu, mu](-d**nu t**nu), production
-      rate d distinct from the destruction rate c. Requires mu > nu for
-      the same reason.
+      rate d distinct from the destruction rate c. Requires mu > nu so
+      the solution's lowered-index Mittag-Leffler terms keep mu > 0.
 
     Every number must be finite; a NaN or infinite one raises DomainError.
     """
@@ -131,10 +129,6 @@ class KineticProblem:
             raise DomainError("gamma only applies to ml-gamma-source problems")
         if self.kind is ProblemKind.BASIC and self.mu != 1.0:
             raise DomainError(f"basic problems have mu = 1, got mu={self.mu}")
-        if self.kind is ProblemKind.ML_SOURCE and self.mu <= 1.0:
-            raise DomainError(
-                f"ml-source solutions need mu > 1, got mu={self.mu}"
-            )
 
 
 @dataclass(frozen=True)
@@ -223,62 +217,52 @@ def _beyond_float_range(t: float) -> DomainError:
     return DomainError(f"N(t) or one of its terms is beyond float range at t = {t}")
 
 
-def _power_source_weight(problem: KineticProblem) -> float:
-    """n0 Gamma(mu), the power source's weight in its solution and in its
-    transform; DomainError when it is beyond float range."""
+def _same_rate_source(problem: KineticProblem) -> tuple[float, float]:
+    """(w, g) of the source w t^(mu-1) E^g[nu, mu](-c^nu t^nu) (E^0 is
+    1/Gamma(mu)), g = 1 for ml-source and two tied rates; DomainError when
+    a power source's w = n0 Gamma(mu) is beyond float range."""
+    kind, n0 = problem.kind, problem.n0
+    if kind is ProblemKind.ML_GAMMA_SOURCE:
+        return n0, problem.gamma
+    if kind not in (ProblemKind.BASIC, ProblemKind.POWER_SOURCE):
+        return n0, 1.0
     try:
-        weight = problem.n0 * math.gamma(problem.mu)
+        weight = n0 * math.gamma(problem.mu)
     except OverflowError:  # Gamma(mu) alone is beyond float range
         weight = math.inf
     if not math.isfinite(weight):
-        raise DomainError(f"n0 Gamma(mu) is beyond float range at n0={problem.n0}, mu={problem.mu}")
-    return weight
+        raise DomainError(f"n0 Gamma(mu) is beyond float range at n0={n0}, mu={problem.mu}")
+    return weight, 0.0
 
 
 def solve(problem: KineticProblem) -> SolutionSeries:
-    """Return the closed-form solution of the given kinetic equation."""
-    n0, nu, mu = problem.n0, problem.nu, problem.mu
+    """Return the closed-form solution of the given kinetic equation: the
+    one term w t^(mu-1) E^(g+1)[nu, mu](-c^nu t^nu) of a same-rate source."""
+    nu, mu = problem.nu, problem.mu
     c_nu = problem.c**nu
-    kind = problem.kind
-    if kind in (ProblemKind.BASIC, ProblemKind.POWER_SOURCE):
-        # basic is the power source at mu = 1: n0 Gamma(1) t^0 is n0 exactly
-        terms = (SeriesTerm(_power_source_weight(problem), mu - 1.0, MLParams(nu=nu, mu=mu), c_nu),)
-        return SolutionSeries(terms)
-    if kind is ProblemKind.ML_GAMMA_SOURCE:
-        ml = MLParams(nu=nu, mu=mu, gamma=problem.gamma + 1.0)
-        return SolutionSeries((SeriesTerm(n0, mu - 1.0, ml, c_nu),))
-    if kind is ProblemKind.ML_SOURCE:
-        terms = (
-            SeriesTerm(n0 / nu, mu - 1.0, MLParams(nu=nu, mu=mu - 1.0), c_nu),
-            SeriesTerm(n0 * (1.0 - mu + nu) / nu, mu - 1.0, MLParams(nu=nu, mu=mu), c_nu),
-        )
-        return SolutionSeries(terms)
-    d_nu = problem.d**nu
-    if abs(c_nu - d_nu) < _TIE_REL_TOL * max(c_nu, d_nu):
-        ml = MLParams(nu=nu, mu=mu, gamma=2.0)
-        return SolutionSeries((SeriesTerm(n0, mu - 1.0, ml, c_nu),))
-    weight = n0 / (c_nu - d_nu)
-    ml = MLParams(nu=nu, mu=mu - nu)
-    terms = (
-        SeriesTerm(weight, mu - nu - 1.0, ml, d_nu),
-        SeriesTerm(-weight, mu - nu - 1.0, ml, c_nu),
-    )
-    return SolutionSeries(terms)
+    if problem.kind is ProblemKind.TWO_RATE:
+        d_nu = problem.d**nu
+        if abs(c_nu - d_nu) >= _TIE_REL_TOL * max(c_nu, d_nu):
+            weight = problem.n0 / (c_nu - d_nu)
+            ml = MLParams(nu=nu, mu=mu - nu)
+            return SolutionSeries((
+                SeriesTerm(weight, mu - nu - 1.0, ml, d_nu),
+                SeriesTerm(-weight, mu - nu - 1.0, ml, c_nu),
+            ))
+    weight, g = _same_rate_source(problem)
+    ml = MLParams(nu=nu, mu=mu, gamma=g + 1.0)
+    return SolutionSeries((SeriesTerm(weight, mu - 1.0, ml, c_nu),))
 
 
 def transform_of(problem: KineticProblem) -> TransformDescriptor:
     """Descriptor of the Laplace transform of the problem's solution."""
     n0, c, nu, mu = problem.n0, problem.c, problem.nu, problem.mu
-    kind = problem.kind
-    if kind is ProblemKind.BASIC:
+    if problem.kind is ProblemKind.BASIC:
         return MLBasic(c=c, nu=nu, n0=n0)
-    if kind is ProblemKind.POWER_SOURCE:
-        return MLGeneral(c=c, nu=nu, mu=mu, gamma=0.0, n0=_power_source_weight(problem))
-    if kind is ProblemKind.ML_GAMMA_SOURCE:
-        return MLGeneral(c=c, nu=nu, mu=mu, gamma=problem.gamma, n0=n0)
-    if kind is ProblemKind.ML_SOURCE:
-        return MLGeneral(c=c, nu=nu, mu=mu, gamma=1.0, n0=n0)
-    return TwoRateProduct(c=c, d=problem.d, nu=nu, mu=mu, n0=n0)
+    if problem.kind is ProblemKind.TWO_RATE:
+        return TwoRateProduct(c=c, d=problem.d, nu=nu, mu=mu, n0=n0)
+    weight, g = _same_rate_source(problem)
+    return MLGeneral(c=c, nu=nu, mu=mu, gamma=g, n0=weight)
 
 
 def source_term(problem: KineticProblem, t: float,

@@ -42,20 +42,20 @@ would overflow), evaluates in four stages:
    is at most 300 times the sum;
 2. the trapezoid rule on Garrappa's optimal parabolic contour for the
    inverse Laplace transform of s^(nu*gamma-mu) / (s^nu - z)^gamma,
-   in double precision, about 1e-13 relative (4.4e-12 at worst in seeded
-   sweeps against the mpmath series, gamma = 3 at z = -50 where E is near
-   1e-5 and the contour's 1e-15 target is absolute).  Route A: z < 0 with
+   in double precision, about 1e-13 relative (2e-13 at worst in seeded
+   sweeps against the mpmath series).  Route A: z < 0 with
    0 < nu < 1 and 0 < gamma <= 3 (no pole on the principal sheet, only
    the branch point at 0; a larger gamma leaves the absolute target far
-   above E).  Route B: gamma = 1 with 0 < nu < 2 and either
-   sign of z (simple poles: the contour runs left of every pole, between
-   the branch point at 0 and the nearest one, and every pole adds its
-   residue).  A contour value is kept only if the
-   parameter search met a tolerance of 1e-13 or better within 200 nodes
-   a side and its rounding estimate stays within 1e-13 of the result.
-   A double sum that fails this guard, mostly one near a zero of E, is
-   redone in numpy's extended long double where that is wider (x86:
-   64-bit mantissa, target 1e-18, the same guard with its epsilon).
+   above E).  Route B: gamma = 1 or 2 with 0 < nu < 2 and either
+   sign of z (poles of order gamma: the contour runs left of every pole,
+   between the branch point at 0 and the nearest one, and every pole adds
+   its residue).  A contour value is kept only if the parameter search
+   met a tolerance of 1e-13 or better within 200 nodes a side and both
+   its rounding and its truncation estimate (the last node's term) stay
+   within 1e-13 of the result.  A double sum that fails this guard,
+   mostly near a zero of E or for an E small against the absolute
+   target, is redone in numpy's extended long double where that is wider
+   (x86: 64-bit mantissa, target 1e-18, the same guard with its epsilon).
    A double sum whose node terms pass float range (inf/inf at large
    gamma) gives the value up to the next stage;
 3. for integer nu = n <= 4, the generalized hypergeometric series
@@ -159,16 +159,15 @@ _CONTOUR_PRECISIONS = ((np.float64, (1e-15, 1e-14, 1e-13)),) + (
 _CONTOUR_MAX_NODES = 200
 
 #: Largest gamma route A takes.  Its 1e-15 target is absolute, and E
-#: falls ever further below the integrand on the contour as gamma grows,
-#: while the rounding guard only bounds rounding: the worst relative
-#: error in seeded sweeps against the mpmath series is 4.4e-12 up to
-#: gamma = 3, 3.5e-11 at gamma = 4 and 1e-5 at gamma = 10; at gamma = 64
-#: accepted values were off by orders of magnitude.
+#: falls ever further below the integrand on the contour as gamma grows.
+#: The rounding and truncation guards do not see discretization error:
+#: without this cap MLParams(0.928, 26.2, 64.0) at -4.48 passes both (3e-16
+#: of the value) and returns -2.29e-23 for -3.05e-34.
 _CONTOUR_MAX_GAMMA = 3.0
 
-#: Largest accepted rounding estimate eps * h * sum|S_k| / (2 pi |E|) of
-#: a contour value, eps that of the precision summed in; beyond it the
-#: value has lost its relative accuracy (near a zero of E).
+#: Largest accepted rounding estimate eps * h * sum|S_k| / (2 pi |E|), eps
+#: that of the precision summed in, and truncation estimate h |S_N| / (2 pi
+#: |E|) of a contour value; beyond it the value has lost its accuracy.
 _CONTOUR_ROUNDING_MAX = 1e-13
 
 #: Values of k per block of the mesh evaluator, which holds the terms of
@@ -364,7 +363,7 @@ def ml_eval(params: MLParams, z: float, cfg: SeriesConfig = DEFAULT_SERIES_CONFI
     the final sum -- the cancellation regime of strongly negative z --
     or a term would overflow, the value comes from Garrappa's parabolic
     contour in double precision (z < 0 with 0 < nu < 1 and 0 < gamma <= 3, or
-    gamma = 1 with 0 < nu < 2; about 1e-13 relative) when that passes
+    gamma = 1 or 2 with 0 < nu < 2; about 1e-13 relative) when that passes
     its accuracy guard in double or, failing that, in extended precision;
     then, for integer nu <= 4, from mpmath's generalized hypergeometric
     sum (``_ml_hyper``), where the float sum must also keep its estimated
@@ -634,19 +633,19 @@ def _ml_contour(params: MLParams, z: float) -> float | None:
     Weideman & Trefethen, Math. Comp. 76 (2007) 1341-1356), at t = 1.
 
     E is the inverse Laplace transform of s^(nu gamma - mu) / (s^nu - z)^gamma.
-    The contour runs left of every pole of the principal sheet, between
-    the branch point at 0 and the pole of least ``_phi``, and every pole
-    adds its residue.  The sum is tried in each of ``_CONTOUR_PRECISIONS``
-    in turn.
+    The contour runs left of every pole of the principal sheet (of order
+    gamma), between the branch point at 0 and the pole of least ``_phi``,
+    and every pole adds its residue.  The sum is tried in each of
+    ``_CONTOUR_PRECISIONS`` in turn, kept by ``_CONTOUR_ROUNDING_MAX``.
     Returns None outside routes A and B (see the module docstring), when
     the double sum is not finite, or when the value fails its accuracy
     guard in every precision; raises ``DomainError`` when a residue
     exceeds float range.
     """
     nu, mu, gam = params.nu, params.mu, params.gamma
-    if not ((z < 0 and nu < 1 and 0 < gam <= _CONTOUR_MAX_GAMMA) or (gam == 1 and nu < 2)):
+    if not ((z < 0 and nu < 1 and 0 < gam <= _CONTOUR_MAX_GAMMA) or (gam in (1.0, 2.0) and nu < 2)):
         return None
-    # route A has no pole on the principal sheet; route B has simple ones
+    # route A has no pole on the principal sheet; route B's are of order gamma
     theta = math.pi if z < 0 else 0.0
     k_lo = math.ceil(-nu / 2 - theta / (2 * math.pi))
     k_hi = math.floor(nu / 2 - theta / (2 * math.pi))
@@ -663,37 +662,40 @@ def _ml_contour(params: MLParams, z: float) -> float | None:
     p_origin = max(0.0, -2.0 * (nu * gam - mu + 1.0))
 
     for real, tols in _CONTOUR_PRECISIONS:
-        found = _contour_param(phi_pole, p_origin, float(np.finfo(real).eps), tols)
+        found = _contour_param(phi_pole, p_origin, gam, float(np.finfo(real).eps), tols)
         if found is None:
             continue
         scale, h, n = found
-        for _, pole in poles:
-            if (pole + (1.0 - mu) * cmath.log(pole)).real - math.log(nu) > _LOG_FLOAT_MAX:
+        for _, pole in poles:  # log |residue|; a double pole's has (s* + 1 + nu - mu) / nu
+            log_residue = (pole + (1.0 - mu) * cmath.log(pole)).real - gam * math.log(nu)
+            if gam == 2.0:
+                log_residue += math.log(max(abs(pole + 1.0 + nu - mu), _ABS_FLOOR))
+            if log_residue > _LOG_FLOAT_MAX:
                 raise _beyond_float_range(params, z)
-        value, rounding = _contour_sum(params, z, [k for k, _ in poles], scale, h, n, real)
+        value, error = _contour_sum(params, z, [k for k, _ in poles], scale, h, n, real)
         # node terms past float range (inf/inf where s^(nu gamma - mu) and
         # (s^nu - z)^gamma overflow apart) say nothing of the value, and
         # the long double's wider range gave wrong ones there (-8.2e-21 for
         # E[0.88, 22.5, 226](-1.32) = -6.0e-31): the next stage decides
         if not math.isfinite(value):
             return None
-        if rounding <= _CONTOUR_ROUNDING_MAX * abs(value):
+        if error <= _CONTOUR_ROUNDING_MAX * abs(value):
             return value
     return None
 
 
 def _contour_param(
-    phi_pole: float, p_origin: float, eps: float, tols: tuple[float, ...]
+    phi_pole: float, p_origin: float, q: float, eps: float, tols: tuple[float, ...]
 ) -> tuple[float, float, int] | None:
     """(mu, h, N) of the parabola between the branch point at 0, of
-    strength ``p_origin``, and the nearest pole at ``phi_pole`` (inf when
-    there is none), at the first of ``tols`` it meets within
-    ``_CONTOUR_MAX_NODES`` nodes, or None."""
+    strength ``p_origin``, and the nearest pole, of order ``q``, at
+    ``phi_pole`` (inf when there is none), at the first of ``tols`` it
+    meets within ``_CONTOUR_MAX_NODES`` nodes, or None."""
     log_eps = math.log(eps)
     for tol in tols:
         log_tol = math.log(tol)
         if phi_pole < math.inf:
-            found = _contour_param_bounded(phi_pole, p_origin, log_tol, log_eps)
+            found = _contour_param_bounded(phi_pole, p_origin, q, log_tol, log_eps)
         else:
             found = _contour_param_unbounded(p_origin, log_tol, log_eps)
         if found is not None and found[2] <= _CONTOUR_MAX_NODES:
@@ -706,8 +708,9 @@ def _contour_sum(
 ) -> tuple[float, float]:
     """The trapezoid sum on the parabola scale (1 + iu)^2, u = 0, +-h, ..,
     +-n h, plus the residues of the poles numbered ``ks`` (angle
-    (arg z + 2 pi k) / nu), summed in the float type ``real``; and its
-    rounding estimate eps h sum|S_k| / (2 pi)."""
+    (arg z + 2 pi k) / nu, order gamma), summed in the float type ``real``;
+    and the larger of its rounding and truncation estimates (see
+    ``_CONTOUR_ROUNDING_MAX``)."""
     nu, mu, gam, zz = real(params.nu), real(params.mu), real(params.gamma), real(z)
     u = h * np.arange(n + 1, dtype=real)
     s = scale * (1 + 1j * u) ** 2
@@ -720,11 +723,14 @@ def _contour_sum(
     if ks:
         angle = ((pi if z < 0 else 0) + 2 * pi * np.array(ks, dtype=real)) / nu
         poles = np.exp(np.log(abs(zz)) / nu) * (np.cos(angle) + 1j * np.sin(angle))
-        # (1/nu) s*^(1-mu) e^(s*)
-        value += np.exp(poles + (1 - mu) * np.log(poles)).real.sum() / nu
+        # (1/nu) s*^(1-mu) e^(s*), times (s* + 1 + nu - mu) / nu at a double pole
+        residues = np.exp(poles + (1 - mu) * np.log(poles))
+        if gam == 2:
+            residues *= (poles + 1 + nu - mu) / nu
+        value += residues.real.sum() / nu
     abs_sum = abs(terms[0]) + 2 * np.abs(terms[1:]).sum()
-    rounding = float(np.finfo(real).eps) * h / (2 * math.pi) * float(abs_sum)
-    return float(value), rounding
+    error = h / (2 * math.pi) * max(float(np.finfo(real).eps * abs_sum), float(abs(terms[-1])))
+    return float(value), error
 
 
 def _beyond_float_range(params: MLParams, z: float) -> DomainError:
@@ -732,20 +738,20 @@ def _beyond_float_range(params: MLParams, z: float) -> DomainError:
 
 
 def _contour_param_bounded(
-    phi_pole: float, p_origin: float, log_tol: float, log_eps: float
+    phi_pole: float, p_origin: float, q: float, log_tol: float, log_eps: float
 ) -> tuple[float, float, int] | None:
     """Garrappa's OptimalParam_RB at t = 1: (mu, h, N) of the parabola
-    between the branch point at 0, of strength p_origin, and a simple pole
-    at ``phi_pole``, or None when no parabola there meets ``log_tol`` with
-    rounding at ``log_eps``."""
+    between the branch point at 0, of strength p_origin, and a pole of
+    order q at ``phi_pole``, or None when no parabola there meets
+    ``log_tol`` with rounding at ``log_eps``."""
     f_max = math.exp(log_tol - log_eps)
     sq_pole = min(math.sqrt(phi_pole), 2.0 * math.sqrt(log_tol - log_eps))
     if p_origin < 1e-14:
         f_bar = 1.01 + 1.01 / f_max * (f_max - 1.01)
         bar_0 = 0.0
-        bar_pole = 2.0 * sq_pole / (2.0 + 1.0 / f_bar)
+        bar_pole = 2.0 * sq_pole / (2.0 + f_bar ** (-1.0 / q))
     else:
-        power = sq_pole ** max(p_origin, 1.0)
+        power = sq_pole ** max(p_origin, q)
         if power == 0.0:  # underflow: a pole this near 0 leaves no parabola
             return None
         f_min = 1.01 * sq_pole / power
@@ -754,7 +760,7 @@ def _contour_param_bounded(
         f_min = max(f_min, 1.5)
         f_bar = f_min + f_min / f_max * (f_max - f_min)
         fp = f_bar ** (-1.0 / p_origin)
-        fq = 1.0 / f_bar
+        fq = f_bar ** (-1.0 / q)
         w = -phi_pole / log_tol
         den = 2.0 + w - (1.0 + w) * fp + fq
         bar_0 = fp * sq_pole / den

@@ -311,6 +311,25 @@ def test_structural_identities_hold_pointwise():
     _report(4, "structural transform identities hold over 100 draws each", ratio)
 
 
+def test_ml_source_pair_identity_holds_pointwise():
+    """nu E^2[nu, mu](z) = E[nu, mu-1](z) + (1 + nu - mu) E[nu, mu](z), the
+    pair the ML-source solution was once written as, holds to 1e-10 over
+    100 draws where its two terms do not cancel."""
+    rng = random.Random(405)
+    ratio = 0.0
+    draws = 0
+    while draws < 100:
+        nu, mu, z = rng.uniform(0.3, 1.5), rng.uniform(1.05, 2.5), rng.uniform(-10.0, 5.0)
+        lower = ml_eval(MLParams(nu, mu - 1.0), z)
+        same = (1.0 + nu - mu) * ml_eval(MLParams(nu, mu), z)
+        if abs(lower) + abs(same) > 10.0 * abs(lower + same):
+            continue
+        want = ml_eval(MLParams(nu, mu, 2.0), z)
+        ratio = max(ratio, abs(nu * want - (lower + same)) / abs(nu * want) / 1e-10)
+        draws += 1
+    assert ratio <= 1.0, f"the ML-source pair identity is off by {ratio:.3g}x its 1e-10 gate"
+
+
 def test_forward_quadrature_matches_confluent_series():
     """The forward transform of the Wright-kernel density equals the
     confluent hypergeometric closed form to 1e-6 at several p."""
@@ -331,8 +350,8 @@ def test_forward_quadrature_matches_confluent_series():
 
 
 def test_ml_source_solution_matches_its_transform():
-    """The two-term combination solving the ML-source equation agrees with
-    direct inversion of its transform to 1e-5."""
+    """The one-term solution of the ML-source equation agrees with direct
+    inversion of its transform to 1e-5."""
     cases = [(1.4, 0.7, 1.2)]
     rng = random.Random(606)
     while len(cases) < 10:
@@ -348,7 +367,7 @@ def test_ml_source_solution_matches_its_transform():
         for t, want in zip(t_points, wants):
             got = lt_invert_numeric(desc, t)
             ratio = max(ratio, abs(got - want) / max(abs(want), floor) / 1e-5)
-    _report(6, "ML-source combination matches inversion of its transform", ratio)
+    _report(6, "ML-source solution matches inversion of its transform", ratio)
 
 
 def test_reaction_diffusion_solvers_cross_validate():

@@ -380,6 +380,15 @@ class TestRdSolve:
     def test_tol_is_ignored(self, tmp_path):
         assert main(["rd-solve", "--spec", write_spec(tmp_path, self.spec()), "--tol", "0"]) == 0
 
+    def test_fd_step_bound(self, tmp_path, capsys):
+        # 2,000,000 steps of dt = 0.01 to t = 2e4, over a minute of stencil
+        # work, are refused before any of it runs
+        spec = self.spec(solver="fd", dt=0.01)
+        spec["grid"] = {"start": 0.0, "stop": 2e4, "n": 3}
+        assert main(["rd-solve", "--spec", write_spec(tmp_path, spec)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "spec" and "1,000,000 steps" in err["message"]
+
 
 class TestVerify:
     spec = {
@@ -405,6 +414,25 @@ class TestVerify:
         assert main(["verify", "--spec", path, "--tol", "1e-16"]) == 3
         err_lines = capsys.readouterr().err.strip().splitlines()
         assert json.loads(err_lines[-1])["error"]["kind"] == "numerical"
+
+    def test_order_too_small_for_the_residual_mesh(self, tmp_path, capsys):
+        # the mesh graded by 2/nu = 200 has its first node below the least
+        # normal float: the residual was nan, reported as "max residual 0"
+        # with exit 0
+        spec = {**self.spec, "parameters": {"kind": "basic", "n0": 1.0, "c": 1.0, "nu": 0.01}}
+        assert main(["verify", "--spec", write_spec(tmp_path, spec)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert (err["kind"], err["type"]) == ("numerical", "QuadratureFailure")
+
+    @pytest.mark.parametrize("nu", [0.6, 1.4])
+    @pytest.mark.parametrize("mu", [0.9, 0.5, 0.2])
+    def test_ml_source_at_mu_up_to_one(self, tmp_path, nu, mu):
+        # once refused: the pair that solved it needed mu - 1 > 0
+        params = {"kind": "ml-source", "n0": 1.0, "c": 1.2, "nu": nu, "mu": mu}
+        spec = {**self.spec, "parameters": params}
+        assert main(["verify", "--spec", write_spec(tmp_path, spec)]) == 0
 
 
 class TestSpecValidation:
@@ -455,6 +483,7 @@ class TestSpecValidation:
         path = write_spec(tmp_path, basic_spec())
         assert main(["solve-kinetic", "--spec", path, "--grid", "1:2"]) == 2
         assert main(["solve-kinetic", "--spec", path, "--grid", "2:1:5"]) == 2
+        assert main(["solve-kinetic", "--spec", path, "--grid", "0:1:x"]) == 2
 
     def test_invalid_problem_parameters(self, tmp_path):
         spec = basic_spec()
@@ -540,7 +569,13 @@ class TestSpecValidation:
         ("invert-lt", {"descriptor": {"kind": ["GammaPower"], "alpha": 1.0, "beta": 1.0}}),
         ("rd-solve", {**RD_PARAMS, "n0": ["1.0", 0.0, -1.0, 0.0]}),
         ("eval-ml", {"nu": 10**400}),
-    ], ids=["descriptor-kind", "rd-samples", "huge-integer"])
+        ("invert-lt", {"descriptor": {"kind": "ResidualProduct", "plus": [1.0, 1.0]}}),
+        ("eval-wright", {"upper": [[1.0, 1.0, 1.0]]}),
+        ("eval-wright", {"upper": 1.0}),
+        ("rd-solve", {**RD_PARAMS, "n1": 0.0}),
+        ("invert-lt", {"descriptor": "MLBasic"}),
+    ], ids=["descriptor-kind", "rd-samples", "huge-integer", "plus-not-pairs", "upper-triple",
+            "upper-not-a-list", "rd-samples-not-a-list", "descriptor-not-an-object"])
     def test_malformed_value_is_spec_error(self, tmp_path, capsys, task, params):
         # each once escaped as a TypeError, ValueError or OverflowError
         # traceback, exit 1
@@ -562,6 +597,32 @@ class TestSpecValidation:
         assert main([task, "--spec", write_spec(tmp_path, spec)]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert (err["kind"], err["message"]) == ("spec", message)
+
+    # specs malformed in their structure or grid, each refused before computing
+    MALFORMED_SPECS = {
+        "spec-not-an-object": ["eval-ml"],
+        "parameters-not-an-object": {"version": "1", "parameters": [],
+                                     "grid": {"start": 1.0, "stop": 1.0, "n": 1}},
+        "output-not-an-object": {"version": "1", "parameters": {"nu": 1.0}, "output": "csv",
+                                 "grid": {"start": 1.0, "stop": 1.0, "n": 1}},
+        "grid-missing-key": {"version": "1", "parameters": {"nu": 1.0},
+                             "grid": {"start": 1.0, "n": 1}},
+        "grid-infinite": {"version": "1", "parameters": {"nu": 1.0},
+                          "grid": {"start": -math.inf, "stop": 1.0, "n": 3}},
+        "solution-grid-at-zero": {"version": "1", "task": "solve-kinetic",
+                                  "parameters": {"kind": "power-source", "n0": 1.0, "c": 1.0,
+                                                 "nu": 0.5, "mu": 0.5},
+                                  "grid": {"start": 0.0, "stop": 1.0, "n": 3}},
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+    def test_malformed_spec_is_spec_error(self, tmp_path, capsys, case):
+        spec = self.MALFORMED_SPECS[case]
+        task = spec.get("task", "eval-ml") if isinstance(spec, dict) else "eval-ml"
+        assert main([task, "--spec", write_spec(tmp_path, spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["kind"] == "spec"
 
     # a count given as a bool or a float, each refused by name
     COUNTS = {

@@ -74,6 +74,12 @@ class TestRlIntegral:
         with pytest.raises(QuadratureFailure):
             rl_integral(lambda u: u**-0.5, 0.6, 1.3)
 
+    def test_sum_beyond_float_range_refused(self):
+        # the cells sum to 1.8e308 and 1/Gamma(1.4616) = 1.13 takes it past
+        # float range: a QuadratureFailure, not inf
+        with pytest.raises(QuadratureFailure, match="not finite"):
+            rl_integral(lambda u: 0.95e308, 1.4616, 2.0)
+
     @pytest.mark.parametrize("nu", [0.4, 0.9, 1.6])
     def test_cosine_cross_oracle(self, nu):
         # I^nu cos has the closed form t^nu E_{2,nu+1}(-t^2)
@@ -255,6 +261,18 @@ class TestResidualCheck:
         want = residual_check(pr, sol, [float(t) for t in grid()])
         assert len(want) == len(list(grid()))
         assert residual_check(pr, sol, grid()) == want
+
+    @pytest.mark.parametrize("problem", [
+        KineticProblem(ProblemKind.BASIC, n0=1.0, c=1.0, nu=0.017),
+        KineticProblem(ProblemKind.ML_GAMMA_SOURCE, n0=1.0, c=1.0, nu=0.017, gamma=0.5),
+        KineticProblem(ProblemKind.POWER_SOURCE, n0=1.0, c=1.0, nu=0.015, mu=0.5),
+    ], ids=["basic", "ml-gamma-source", "power-source"])
+    def test_order_too_small_for_the_graded_mesh(self, problem):
+        # grading by 2/nu puts the first of 512 nodes at (1/512)^117.6 =
+        # 2e-319, subnormal, at nu = 0.017 (the residual was nan) and at 0
+        # at nu = 0.015 (a DomainError for the t = 0 sample of t^-0.5)
+        with pytest.raises(QuadratureFailure, match="underflows"):
+            residual_check(problem, solve(problem), [1.0])
 
     def test_grid_validation(self):
         pr = KineticProblem(ProblemKind.BASIC, n0=1.0, c=1.0, nu=0.5)

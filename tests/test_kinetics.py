@@ -55,8 +55,6 @@ class TestKineticProblem:
             KineticProblem(ProblemKind.ML_GAMMA_SOURCE, n0=1.0, c=1.0, nu=0.5, gamma=0.0)
         with pytest.raises(DomainError):
             KineticProblem(ProblemKind.BASIC, n0=1.0, c=1.0, nu=0.5, gamma=0.3)
-        with pytest.raises(DomainError):
-            KineticProblem(ProblemKind.ML_SOURCE, n0=1.0, c=1.0, nu=0.5, mu=0.9)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["n0", "c", "nu", "mu", "gamma", "d"])
@@ -93,12 +91,24 @@ class TestSolveStructure:
         )
         assert sol.terms[0].ml.gamma == pytest.approx(1.7)
 
-    def test_ml_source_two_terms(self):
+    def test_ml_source_one_term(self):
+        # the ml-gamma-source term at gamma = 1; the pair it replaces is
+        # acceptance's ML-source pair identity
         nu, mu = 0.7, 1.4
         sol = solve(KineticProblem(ProblemKind.ML_SOURCE, n0=3.0, c=1.0, nu=nu, mu=mu))
-        weights = [t.weight for t in sol.terms]
-        assert weights == pytest.approx([3.0 / nu, 3.0 * (1.0 - mu + nu) / nu])
-        assert [t.ml.mu for t in sol.terms] == pytest.approx([mu - 1.0, mu])
+        assert sol.terms == (SeriesTerm(3.0, mu - 1.0, MLParams(nu, mu, 2.0), 1.0),)
+
+    def test_ml_source_against_series_oracle(self):
+        # the worst of 297 draws for the pair E_(nu,mu-1) + (1 + nu - mu)
+        # E_(nu,mu) the one term replaced, which cancelled to 5.4e-11
+        # relative at t = 4.035
+        from test_special_functions import _ml_series_oracle
+
+        c, nu, mu = 2.376427263300507, 0.4682119020614248, 2.487747997142134
+        sol = solve(KineticProblem(ProblemKind.ML_SOURCE, n0=1.0, c=c, nu=nu, mu=mu))
+        for t in (1.0, 2.0, 4.035, 6.0):
+            expected = t ** (mu - 1.0) * _ml_series_oracle(nu, mu, 2.0, -(c**nu) * t**nu)
+            assert sol(t) == pytest.approx(expected, rel=2e-12, abs=0), t
 
     def test_two_rate_antisymmetric_weights(self):
         nu, mu = 0.8, 1.6

@@ -68,6 +68,11 @@ class TestLtEval:
         with pytest.raises(DomainError):
             lt_eval(ThreeTermBeta(a=1.0, b=1.0, alpha=1.5, beta=0.5), -0.5)
 
+    def test_ml_pole_refused(self):
+        # p^2 + 1 vanishes at p = i, a pole of the transform
+        with pytest.raises(PoleError):
+            lt_eval(MLBasic(c=1.0, nu=2.0), 1j)
+
     def test_numpy_real_scalars_checked(self):
         # numpy's real scalars are real p: the same region checks as float
         with pytest.raises(DomainError):
@@ -114,6 +119,10 @@ class TestLtEval:
             ThreeTermBeta(a=1.0, b=1.0, alpha=1.0, beta=-0.2)
         with pytest.raises(DomainError):
             ResidualProduct(plus=(), minus=())
+        with pytest.raises(DomainError):
+            MLBasic(c=0.0, nu=0.5)
+        with pytest.raises(DomainError):
+            TwoRateProduct(c=1.0, d=0.0, nu=0.5, mu=1.0)
         # NaN and infinite fields; once accepted, they evaluated to 0j or nan
         with pytest.raises(DomainError):
             GammaPower(alpha=math.inf, beta=1.0)
@@ -381,7 +390,10 @@ class TestInvertNumeric:
     lambda: QuadratureConfig(rel_tol=-1.0),
     lambda: QuadratureConfig(abs_tol=math.inf),
     lambda: QuadratureConfig(rel_tol=0.0, abs_tol=0.0),
-], ids=["M-float", "M-bool", "rel-tol-negative", "abs-tol-inf", "tolerances-zero"])
+    lambda: QuadratureConfig(singular_power=-1.0),
+    lambda: InversionConfig(precision_target=0.0),
+], ids=["M-float", "M-bool", "rel-tol-negative", "abs-tol-inf", "tolerances-zero",
+        "singular-power", "target-zero"])
 def test_config_refused(make):
     # refused when built, not by a TypeError or a quadrature that cannot
     # run once the config is used

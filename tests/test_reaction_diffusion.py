@@ -203,6 +203,12 @@ class TestFiniteDifference:
         with pytest.raises(DomainError, match="time step"):
             rd_solve_fd(make_problem(m=16), dt)
 
+    def test_overflow_refused(self):
+        # a field that leaves float range is refused, not returned as inf
+        pr = make_problem(m=16, n0=np.full(16, 1e308), xi=3.0, times=(1.0,))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="non-finite"):
+            rd_solve_fd(pr, dt=0.1)
+
     def test_time_alignment(self):
         pr = make_problem(m=16, times=(1.0,))
         with pytest.raises(DomainError):

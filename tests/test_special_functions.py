@@ -206,11 +206,17 @@ class TestMLEval:
         lambda: ml_eval(MLParams(nu=0.5, gamma=2.0), 30.0),
         lambda: wright_eval(WrightParams(upper=((1.0, 1.0),), lower=((1.0, 0.5),)), 50.0),
         lambda: ml_eval(MLParams(nu=0.49746, mu=0.58063, gamma=2.0), 26.0234),
-    ], ids=["ml-27", "ml-30", "wright-50", "ml-sum"])
+        lambda: ml_eval(MLParams(nu=0.5, gamma=3.0), 27.0),
+        lambda: ml_eval(MLParams(nu=2.0, mu=1.0, gamma=2.0), 1e6, SeriesConfig(max_abs_z=2e6)),
+        lambda: ml_eval(MLParams(nu=0.0009), 2.0),
+    ], ids=["ml-27", "ml-30", "wright-50", "ml-sum", "ml-scan", "ml-hyper", "ml-residue"])
     def test_provable_overflow_refused_without_mp_rerun(self, monkeypatch, evaluate):
         # every term is positive and their sum is beyond float range: the
         # largest alone is (10^318, 10^392, 10^1084), or, for ml-sum, is not
-        # (10^306.6, the sum 10^308.7); no mpmath rerun is needed to say so
+        # (10^306.6, the sum 10^308.7); no mpmath rerun is needed to say so.
+        # The gamma = 1 and 2 values at nu < 2 are refused by the contour's
+        # residue, ml-scan (no contour at gamma = 3) by the log-space scan
+        # and ml-hyper (nu = 2) by the hypergeometric stage
         def no_mp_series(*args):
             raise AssertionError("mpmath series used")
 
@@ -224,6 +230,13 @@ class TestMLEval:
 
         with pytest.raises(DomainError):
             special_functions._mp_sum(make_terms, SeriesConfig(), 400.0, "test series")
+
+    def test_mp_rerun_budget_refused(self):
+        def make_terms():
+            return itertools.repeat(mp.mpf(1))
+
+        with pytest.raises(NonConvergence, match="mp fallback"):
+            special_functions._mp_sum(make_terms, SeriesConfig(max_terms=5), 0.0, "test series")
 
     def test_hopeless_mp_rerun_refused_at_once(self, monkeypatch):
         # E[1/2 Wright](-50): the terms alternate, peak at 10^1083.6 and are
@@ -322,9 +335,10 @@ def test_series_oracle_cut_is_relative():
     lambda: SeriesConfig(max_abs_z=math.nan),
     lambda: SeriesConfig(max_terms=2.5),
     lambda: SeriesConfig(max_terms=True),
+    lambda: SeriesConfig(rel_tol=0.0),
 ], ids=["nu-inf", "mu-inf", "gamma-nan", "gamma-minus-inf", "hyp1f1-beta-nan", "hyp1f1-gamma-inf",
         "wright-a-nan", "wright-A-nan", "wright-B-inf", "wright-b-minus-inf",
-        "max-abs-z-nan", "max-terms-float", "max-terms-bool"])
+        "max-abs-z-nan", "max-terms-float", "max-terms-bool", "rel-tol-zero"])
 def test_non_finite_parameters_refused(make):
     # refused at once, not after a term budget spent on nan or inf terms
     # (nor, for Wright, by the Gamma pole test rounding a nan); a config
@@ -495,6 +509,47 @@ class TestMLContour:
         # taken over the one left of every pole and gave these values
         got = ml_eval(MLParams(nu=nu, mu=mu), z, SeriesConfig(max_abs_z=max_abs_z))
         assert got == pytest.approx(_ml_series_oracle(nu, mu, 1.0, z), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("below_zero", [True, False], ids=["z-below-0", "z-above-0"])
+    def test_route_b_double_poles(self, below_zero):
+        # gamma = 2 puts a double pole at every root of s^nu = z on the
+        # principal sheet; each accepted value must keep 1e-12 relative,
+        # and every value ml_eval returns as well
+        rng = np.random.default_rng(20150602 if below_zero else 20150603)
+        points = []
+        for _ in range(300 if below_zero else 200):
+            nu = rng.uniform(1.0, 1.97) if below_zero else rng.uniform(0.5, 1.97)
+            mu = rng.uniform(0.3, 5.0)
+            z = -rng.uniform(5.0, 50.0) if below_zero else rng.uniform(0.0, min(50.0, 600.0**nu))
+            points.append((nu, mu, z))
+        if below_zero:
+            # off by 2.35e-10 and 1.14e-10 under the absolute target alone:
+            # the truncation estimate refuses both
+            points += [(1.050583119317329, 1.1168669284539974, -29.016278001252736),
+                       (1.0459074950643856, 0.7334020004633288, -34.07154027493131)]
+        accepted = 0
+        for nu, mu, z in points:
+            params = MLParams(nu=nu, mu=mu, gamma=2.0)
+            expected = _ml_series_oracle(nu, mu, 2.0, z)
+            contour = special_functions._ml_contour(params, z)
+            if contour is not None:
+                accepted += 1
+                assert contour == pytest.approx(expected, rel=1e-12, abs=0), (nu, mu, z)
+            assert ml_eval(params, z) == pytest.approx(expected, rel=1e-12, abs=0), (nu, mu, z)
+        assert accepted >= 0.7 * len(points)
+
+    def test_truncation_estimate_refuses(self, monkeypatch):
+        # route A at gamma = 3: the double sum met its absolute target and
+        # its rounding estimate (5e-15 |E|) but was off by 4.4e-12; its last
+        # node's term is 2.5e-11 |E|, so it goes to the long double sum (or,
+        # where that is no wider, to the series) for 1e-13
+        params, z = MLParams(nu=0.97398, mu=0.38110, gamma=3.0), -50.0
+        expected = _ml_series_oracle(0.97398, 0.38110, 3.0, z)
+        with monkeypatch.context() as patch:
+            patch.setattr(special_functions, "_CONTOUR_PRECISIONS",
+                          special_functions._CONTOUR_PRECISIONS[:1])
+            assert special_functions._ml_contour(params, z) is None
+        assert ml_eval(params, z) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_pole_near_origin_at_large_mu(self):
         # sqrt(phi)^(2 (mu - nu - 1)) of the nearest pole underflowed to 0
@@ -670,9 +725,9 @@ class TestMPRerun:
             for mu in (gamma, gamma + 1):
                 points.append((float(next(orders)), float(mu), float(gamma),
                                -rng.uniform(80.0, 160.0)))
-        # gamma != 1 with nu >= 1, which no contour route takes
+        # gamma above 2 with nu >= 1, which no contour route takes
         for i in range(40):
-            points.append((rng.uniform(1.0, 1.9), rng.uniform(0.5, 3.0), (2.0, 3.0)[i % 2],
+            points.append((rng.uniform(1.0, 1.9), rng.uniform(0.5, 3.0), (3.0, 4.0)[i % 2],
                            -rng.uniform(20.0, 50.0)))
         calls = self._count_reruns(monkeypatch)
         cfg = SeriesConfig(max_abs_z=200.0)
@@ -710,9 +765,30 @@ class TestMPRerun:
         assert got == pytest.approx(expected, rel=1e-15, abs=0)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("z", [0.01, 0.5, -0.5])
+    def test_rerun_with_vanished_terms(self, monkeypatch, z):
+        # 1/Gamma(-1 + k) is 0 at k = 0 and 1, so the sum is
+        # Gamma(171) z I_2(2 sqrt z) (J_2 for z < 0), while the float sum
+        # overflows on the first term's log: the log-space scan and the
+        # rerun both skip the two vanished terms
+        scans = []
+        log10_peak = special_functions._log10_peak
+        monkeypatch.setattr(special_functions, "_log10_peak",
+                            lambda *args: scans.append(args) or log10_peak(*args))
+        calls = self._count_reruns(monkeypatch)
+        got = wright_eval(WrightParams(upper=((171.0, 0.0),), lower=((-1.0, 1.0),)), z)
+        with mp.workdps(40):
+            x = mp.mpf(z)
+            bessel = mp.besseli(2, 2 * mp.sqrt(x)) if z > 0 else mp.besselj(2, 2 * mp.sqrt(-x))
+            expected = float(mp.gamma(171) * abs(x) * bessel)
+        if z == 0.01:
+            assert expected == pytest.approx(3.64081863004599e302, rel=1e-14)
+        assert got == pytest.approx(expected, rel=1e-15, abs=0)
+        assert len(scans) == 1 and len(calls) == 1
+
     @pytest.mark.parametrize("evaluate, params, z, reruns", [
         (ml_eval, MLParams(nu=0.5, mu=1.0), -1.0, 0),
-        (ml_eval, MLParams(nu=1.5, mu=1.0, gamma=2.0), -40.0, 1),
+        (ml_eval, MLParams(nu=1.5, mu=1.0, gamma=3.0), -40.0, 1),
         (wright_eval, WrightParams(upper=((1.0, 1.0),), lower=((1.0, 0.5),)), -0.5, 0),
         (wright_eval, WrightParams(upper=((1.0, 1.0),), lower=((1.0, 0.5),)), -8.0, 1),
     ], ids=["ml-float", "ml-rerun", "wright-float", "wright-rerun"])
@@ -967,6 +1043,11 @@ class TestHyp1f1:
         # term recurrence to report an overflow
         with pytest.raises(DomainError):
             hyp1f1(1.0, 2.0, x)
+
+    def test_term_overflow_refused(self):
+        # the terms of 1F1(1; 1; 800) = e^800 pass float range at k = 458
+        with pytest.raises(NonConvergence, match="overflowed at k=458"):
+            hyp1f1(1.0, 1.0, 800.0)
 
     def test_beta_pole_rejected(self):
         with pytest.raises(DomainError):

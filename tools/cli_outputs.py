@@ -11,15 +11,19 @@ the workloads' order, through ``mittag_kinetics.cli.main`` with the
 arguments ``perfbench/run.py`` passes (``TASK --spec SPEC --out OUT
 --format json``). The spec and output files are named relative to a
 scratch working directory, so that no absolute path reaches a message
-and checkouts in different directories hash alike. The JSON printed maps ``workload/seed/NNN-task`` to the SHA-256
-of the ``--out`` bytes, the captured stderr and the exit code; a task that
-raises records the exception's type and message in place of the code.
+and checkouts in different directories hash alike. The JSON printed
+maps ``workload/seed/NNN-task`` to the task's fingerprint: ``sha256``,
+over the ``--out`` bytes, the captured stderr and the exit code; ``rc``,
+the exit code, or for a task that raises the exception's type and
+message; ``stderr``; and ``values``, every number of the output's rows
+in order (null when there is no output to parse).
 ``--root`` names the source checkout whose ``src`` package and
 workloads are run; it defaults to the one holding this script.
 
 ``--compare BEFORE AFTER`` reads two such files instead, prints each task
-key whose fingerprint differs or that one file lacks, and exits 1 if
-there is any.
+key whose ``sha256`` differs, with the largest relative change of any
+value and whether the exit code or stderr changed, or that one file
+lacks, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -43,7 +47,16 @@ def _digest(out: bytes, err: str, rc: int | str) -> str:
     return h.hexdigest()
 
 
-def _run_task(cli, task, stem: str) -> str:
+def _values(out: bytes) -> list[float] | None:
+    """Every number of the output's rows, in order; None without rows."""
+    try:
+        rows = json.loads(out)["rows"]
+    except (ValueError, KeyError, TypeError):
+        return None
+    return [float(v) for row in rows for v in row]
+
+
+def _run_task(cli, task, stem: str) -> dict:
     spec, out = Path(f"{stem}.json"), Path(f"{stem}.out.json")
     spec.write_text(json.dumps(task.spec), encoding="utf-8")
     err = io.StringIO()
@@ -53,16 +66,33 @@ def _run_task(cli, task, stem: str) -> str:
         except Exception as exc:  # a crash is an outcome to fingerprint, not the end of the run
             rc = f"raised {type(exc).__name__}: {exc}"
             print(f"cli_outputs: {stem} raised:\n{traceback.format_exc()}", file=sys.__stderr__)
-    return _digest(out.read_bytes() if out.exists() else b"", err.getvalue(), rc)
+    data = out.read_bytes() if out.exists() else b""
+    return {"sha256": _digest(data, err.getvalue(), rc), "rc": rc, "stderr": err.getvalue(),
+            "values": _values(data)}
+
+
+def _moved(old: dict, new: dict) -> str:
+    """How far a differing task's outputs moved, in words."""
+    a, b = old["values"], new["values"]
+    if a is None or b is None or len(a) != len(b):
+        values = "values not comparable (missing, or a different count)"
+    else:
+        rel = max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y), default=0.0)
+        values = f"largest relative change {rel:.3g} over {len(a)} values"
+    flags = [what + (" changed" if old[what] != new[what] else " same") for what in ("rc", "stderr")]
+    return "; ".join([values, *flags])
 
 
 def compare(before: Path, after: Path) -> int:
     old, new = (json.loads(path.read_text(encoding="utf-8")) for path in (before, after))
     keys = sorted(old.keys() | new.keys())
-    changed = [key for key in keys if old.get(key) != new.get(key)]
+    changed = [key for key in keys
+               if key not in old or key not in new or old[key]["sha256"] != new[key]["sha256"]]
     for key in changed:
-        side = "differs" if key in old and key in new else f"only in {before if key in old else after}"
-        print(f"{key}: {side}")
+        if key in old and key in new:
+            print(f"{key}: differs; {_moved(old[key], new[key])}")
+        else:
+            print(f"{key}: only in {before if key in old else after}")
     print(f"cli_outputs: {len(changed)} of {len(keys)} task outputs differ", file=sys.stderr)
     return 1 if changed else 0
 
