@@ -1,5 +1,5 @@
-"""Exception and warning types shared across the package, and the
-finiteness and count rules of its frozen records."""
+"""Exception and warning types shared across the package, the finiteness
+and count rules of its frozen records, and the float-range rule of a power."""
 
 import math
 import operator
@@ -64,3 +64,12 @@ def refuse_non_count(value, what: str, least: int) -> None:
     any integral type passes (``operator.index``), a bool or float does not."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__") or operator.index(value) < least:
         raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
+def float_power(x: float, p: float) -> float:
+    """x**p for a float x > 0, or DomainError where it passes float range,
+    which a float power reports by raising OverflowError."""
+    try:
+        return x**p
+    except OverflowError:
+        raise DomainError(f"{x:.6g}**{p:.6g} is beyond float range") from None

@@ -35,13 +35,19 @@ from .special_functions import _log_gamma
 
 _DEFAULT_CELLS = 512
 
+#: Most cells a step h may ask for: 128 times the default.  An ml-source
+#: solution on 65,536 graded cells takes about 1.2 s and 140 MB on a 2-vCPU VM.
+_MAX_CELLS = 65_536
+
 
 @dataclass(frozen=True)
 class FracIntConfig:
     """Quadrature controls for the fractional integral.
 
     h: mesh step; None picks t/512 so the default cell count is
-    t-independent. The rule is the piecewise-linear product rule.
+    t-independent, and a step that asks for more than 65,536 cells on
+    (0, t) is refused with DomainError when the integral runs, before
+    anything is allocated. The rule is the piecewise-linear product rule.
     singular_power declares f(u) ~ u**singular_power near 0; the factor
     is integrated exactly instead of being interpolated. grading > 1
     clusters nodes at 0 as u_j = t (j/n)**grading, restoring second
@@ -74,7 +80,11 @@ def _cell_moments(x: np.ndarray, s: float, nu: float, t: float) -> np.ndarray:
     from scipy.special import beta, betainc
 
     vals = betainc(s, nu, x) * beta(s, nu)
-    return t ** (s + nu - 1.0) * np.diff(vals)
+    try:
+        scale = t ** (s + nu - 1.0)
+    except OverflowError:  # a float power raises where numpy gives inf; the sum is refused
+        scale = math.inf
+    return scale * np.diff(vals)
 
 
 def _sample(f: Callable, u: np.ndarray) -> np.ndarray:
@@ -105,8 +115,11 @@ def rl_integral(f: Callable[[float], float], nu: float, t: float,
         return float(f(t))
     if cfg.h is None:
         n = _DEFAULT_CELLS
+    elif t / cfg.h > _MAX_CELLS:
+        raise DomainError(f"step h={cfg.h:.6g} asks for {t / cfg.h:.6g} cells on (0, {t:.6g}), "
+                          f"more than {_MAX_CELLS:,}")
     else:
-        n = max(2, int(np.ceil(t / cfg.h)))
+        n = max(2, math.ceil(t / cfg.h))
     rho = cfg.singular_power
     x = (np.arange(n + 1) / n) ** cfg.grading
     if x[1] < np.finfo(float).tiny:  # subnormal or 0: the first cell's slope overflows
@@ -121,11 +134,12 @@ def rl_integral(f: Callable[[float], float], nu: float, t: float,
         g[0] = g[1] - (g[2] - g[1]) * u[1] / (u[2] - u[1])
     if not np.all(np.isfinite(g)):
         raise QuadratureFailure("non-finite integrand samples")
-    m0 = _cell_moments(x, rho + 1.0, nu, t)
-    m1 = _cell_moments(x, rho + 2.0, nu, t)
-    slope = np.diff(g) / np.diff(u)
-    cells = g[:-1] * m0 + slope * (m1 - u[:-1] * m0)
-    total = math.exp(-_log_gamma(nu)[0]) * float(np.sum(cells))
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum beyond float range is refused below
+        m0 = _cell_moments(x, rho + 1.0, nu, t)
+        m1 = _cell_moments(x, rho + 2.0, nu, t)
+        slope = np.diff(g) / np.diff(u)
+        cells = g[:-1] * m0 + slope * (m1 - u[:-1] * m0)
+        total = math.exp(-_log_gamma(nu)[0]) * float(np.sum(cells))
     if not math.isfinite(total):
         raise QuadratureFailure(f"the order-{nu:.6g} quadrature sum is not finite")
     return total

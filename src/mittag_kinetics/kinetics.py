@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, refuse_non_count, refuse_non_finite
+from .errors import DomainError, NonConvergence, float_power, refuse_non_count, refuse_non_finite
 from .laplace import (
     MLBasic,
     MLGeneral,
@@ -159,7 +159,7 @@ class SolutionSeries:
         float path to rounding (not bit for bit), errors are the same.
         At t = 0 a term with a negative power raises ``DomainError``, one
         with power 0 gives weight * E(0), any other 0.  A term's power of
-        t, or N(t), beyond float range raises ``DomainError``.
+        t or t^nu, or N(t), beyond float range raises ``DomainError``.
         """
         if isinstance(t, np.ndarray):
             return self._evaluate_mesh(t, cfg)
@@ -176,12 +176,8 @@ class SolutionSeries:
                 prefactor = term.weight if term.power == 0.0 else 0.0
                 total += prefactor * ml_eval(term.ml, 0.0, cfg)
                 continue
-            z = -term.rate * t**term.ml.nu
-            try:
-                scale = t**term.power
-            except OverflowError:  # a float power raises where numpy gives inf
-                raise _beyond_float_range(t) from None
-            total += term.weight * scale * ml_eval(term.ml, z, cfg)
+            z = -term.rate * float_power(t, term.ml.nu)
+            total += term.weight * float_power(t, term.power) * ml_eval(term.ml, z, cfg)
         if not math.isfinite(total):
             raise _beyond_float_range(t)
         return total
@@ -291,20 +287,21 @@ def invert_three_term(d: ThreeTermAlpha | ThreeTermBeta, t: float, outer_terms: 
     numerator order. Truncation stops once two consecutive terms fall
     below the series tolerance; if the budget runs out first and the tail
     estimate (twice the last term) is above the accepted level,
-    NonConvergence is raised; a sum beyond float range raises DomainError.
+    NonConvergence is raised; a sum, or t**alpha, beyond float range
+    raises DomainError.
     """
     if t <= 0.0:
         raise DomainError(f"time must be positive, got {t}")
     refuse_non_count(outer_terms, "outer_terms", 1)
     gap = d.alpha - d.beta
-    if abs(d.a) * t**gap > _OUTER_ARG_LIMIT:
+    outer_arg = abs(d.a) * float_power(t, gap)
+    if outer_arg > _OUTER_ARG_LIMIT:
         raise DomainError(
-            f"outer series diverges: |a| t**(alpha-beta) = {abs(d.a) * t ** gap:.3g} > "
-            f"{_OUTER_ARG_LIMIT}"
+            f"outer series diverges: |a| t**(alpha-beta) = {outer_arg:.3g} > {_OUTER_ARG_LIMIT}"
         )
     # numerator p**(k-1) shifts every power by alpha - 1 - (k - 1) = alpha - k
     shift = d.alpha - d.numerator_order
-    z = -d.b * t**d.alpha
+    z = -d.b * float_power(t, d.alpha)
     total = 0.0
     comp = 0.0
     small_run = 0

@@ -26,13 +26,13 @@ oracles sit alongside:
     with c t up to 250 and of quadratic denominators.
   Node doubling cannot see a singular point outside both contours of a
   stage: the sums agree on a value that lacks its residue.  So each
-  descriptor reports its singular points off the negative real axis
-  (poles c e^(+-i pi/nu) for nu > 1, quadratic roots), and a stage runs
-  only when every point whose weight e^{Re(p) t} is not negligible lies
-  inside both of its contours; when the mpmath contours miss one the
-  inversion raises InversionFailure.  Three-term kinds with 1 < alpha <= 2
-  and a non-quadratic denominator have unknown singular points and go to
-  the mpmath stage unguarded.
+  descriptor states its singular points off the negative real axis once,
+  in ``singular_points`` (poles c e^(+-i pi/nu) for nu > 1, quadratic
+  roots), and a stage runs only when every point whose weight e^{Re(p) t}
+  is not negligible lies inside both of its contours; when the mpmath
+  contours miss one the inversion raises InversionFailure.  Three-term
+  kinds with 1 < alpha <= 2, a non-quadratic denominator and nonnegative
+  coefficients have unknown singular points and go to mpmath unguarded.
 
 The three gamma kinds are factor sets of one product, the paper's residual
 transform prod (1 + s beta p)^(-alpha), s = +1 for an input factor and -1
@@ -83,20 +83,14 @@ class _Descriptor:
         """Rightmost admissible Re(p) for two-sided transforms, else None."""
         return None
 
-    def rhp_sigma(self) -> float:
-        """Real part of the rightmost singularity if it lies in Re(p) > 0."""
-        return 0.0
-
     def singular_points(self) -> tuple[complex, ...] | None:
         """Singular points a contour must enclose besides the cut along the
-        negative real axis, or None when they are not known.  Two-sided
-        kinds report none: their strip bound places the contour."""
+        negative real axis, or None when they are known to lie in Re(p) <= 0
+        but not where.  Two-sided kinds report none: their strip bound
+        places the contour.  Raises DomainError where no Talbot contour can
+        wrap the points: a power of p above 2 in the denominator, or zeros
+        that may lie in the right half-plane at unknown places."""
         return ()
-
-    def inversion_exponent(self) -> float:
-        """Largest p-power exponent in the denominator; the Talbot contour
-        wraps all singularities only when this is <= 2."""
-        return 1.0
 
 
 class _GammaFactors(_Descriptor):
@@ -184,25 +178,29 @@ def _pole_guard(den, scale) -> None:
         raise PoleError("denominator vanishes at this p")
 
 
+def _refuse_power_above_two(alpha: float) -> None:
+    if alpha > 2.0:
+        raise DomainError(f"denominator power p^{alpha:.6g} above 2 puts singularities outside "
+                          "the Talbot contour; refusing inversion")
+
+
 def _rate_poles(nu: float, *rates: float) -> tuple[complex, ...]:
     """Zeros c e^(+-i pi/nu) of p^nu + c^nu for each rate c: on the
-    principal sheet only when nu > 1."""
+    principal sheet only when nu > 1, and exactly on the imaginary axis at
+    nu = 2, where cmath's e^(i pi/2) would put them 6e-17 c to its right."""
+    _refuse_power_above_two(nu)
     if nu <= 1.0:
         return ()
-    turn = cmath.exp(1j * math.pi / nu)
+    turn = 1j if nu == 2.0 else cmath.exp(1j * math.pi / nu)
     return tuple(c * w for c in rates for w in (turn, turn.conjugate()))
 
 
 class _PowerOfP(_Descriptor):
-    """Kinds built from powers p^nu: real p must be positive, and nu is the
-    largest power of p in the denominator."""
+    """Kinds built from powers p^nu: real p must be positive."""
 
     def check_real_validity(self, p: float) -> None:
         if p <= 0:
             raise DomainError(f"p^nu kinds need real p > 0, got p={p}")
-
-    def inversion_exponent(self) -> float:
-        return self.nu
 
     def singular_points(self) -> tuple[complex, ...] | None:
         return _rate_poles(self.nu, self.c)
@@ -304,30 +302,20 @@ class _ThreeTermBase(_PowerOfP):
         _pole_guard(den, abs(p) ** self.alpha + abs(self.a) * abs(p) ** self.beta + abs(self.b))
         return p ** (self.numerator_order - 1) / den
 
-    def inversion_exponent(self) -> float:
-        return self.alpha
-
     def singular_points(self) -> tuple[complex, ...] | None:
+        _refuse_power_above_two(self.alpha)
         if self.alpha == 2.0 and self.beta == 1.0:
             # quadratic denominator: root locations are explicit
             root = cmath.sqrt(self.a * self.a - 4.0 * self.b)
             return ((-self.a + root) / 2.0, (-self.a - root) / 2.0)
-        if self.alpha <= 1.0 and self.a >= 0 and self.b >= 0:
-            # off the cut p^alpha and a p^beta both have arguments in
-            # (0, pi) on one side of the axis, so the sum has no zeros
-            return ()
-        return None
-
-    def rhp_sigma(self) -> float:
-        points = self.singular_points()
-        if points is not None:
-            return max([0.0] + [p.real for p in points])
-        if self.a >= 0 and self.b >= 0:
-            return 0.0
-        raise DomainError(
-            "negative three-term coefficients with non-quadratic denominator: "
-            "singularity locations unknown, refusing contour inversion"
-        )
+        if self.a < 0 or self.b < 0:
+            raise DomainError(
+                "negative three-term coefficients with non-quadratic denominator: "
+                "singularity locations unknown, refusing contour inversion"
+            )
+        # off the cut p^alpha and a p^beta both have arguments in (0, pi)
+        # on one side of the axis, so for alpha <= 1 the sum has no zeros
+        return () if self.alpha <= 1.0 else None
 
 
 @dataclass(frozen=True)
@@ -422,7 +410,8 @@ def lt_forward_numeric(
 
     The integral is truncated at T with e^{-pT} about ``_TAIL_DECADES``
     orders below one, far under the requested tolerance for the
-    sub-exponential integrands this package produces.
+    sub-exponential integrands this package produces.  A value that is
+    not finite, or not within tolerance, raises QuadratureFailure.
     """
     if not p > 0:
         raise DomainError(f"forward transform requires p > 0, got {p}")
@@ -445,9 +434,9 @@ def lt_forward_numeric(
     if len(out) >= 4:
         raise QuadratureFailure(f"forward transform quadrature: {out[3]}")
     value, abserr = out[0], out[1]
-    if abserr > 10.0 * max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+    if not (math.isfinite(value) and abserr <= 10.0 * max(cfg.abs_tol, cfg.rel_tol * abs(value))):
         raise QuadratureFailure(
-            f"forward transform error estimate {abserr} exceeds tolerance at p={p}"
+            f"forward transform {value} with error estimate {abserr} fails its tolerance at p={p}"
         )
     return value
 
@@ -566,8 +555,10 @@ def lt_invert_numeric(
     """Numerically invert a catalog transform at time t on a Talbot contour.
 
     The descriptor supplies the contour facts: strip bounds for two-sided
-    kinds, right-half-plane pole locations and singular points off the
-    negative real axis.  Anything else raises DomainError.
+    kinds and singular points off the negative real axis, whose largest
+    real part, when positive, is the right-half-plane bound the mpmath
+    contour must pass.  ``singular_points`` raises DomainError where no
+    Talbot contour wraps them, and so does anything not in the catalog.
 
     A one-sided descriptor with known singular points and none in the
     right half-plane is first summed in double precision on the modified
@@ -590,11 +581,9 @@ def lt_invert_numeric(
         raise DomainError(f"inversion requires a finite t > 0, got {t}")
     if isinstance(d, _GammaFactors) and all(s < 0 for _, _, s in d._factors):
         return 0.0  # outputs alone: u = -(sum of outputs) <= 0
-    if d.inversion_exponent() > 2.0 + 1e-12:
-        raise DomainError("denominator exponent above 2 puts singularities outside the "
-                          "Talbot contour; refusing inversion")
     F, target = d.value, cfg.precision_target
-    known, strip, rhp = d.singular_points(), d.strip_sigma(), d.rhp_sigma()
+    known, strip = d.singular_points(), d.strip_sigma()
+    rhp = max([0.0] + [p.real for p in known or ()])
     floor = math.log(_NEGLIGIBLE * target)
     points = [p for p in known or () if p.real * t > floor]
     if (known is not None and strip is None and rhp <= 0.0

@@ -19,6 +19,12 @@ InstabilityWarning.
 ``rd_solve_fd`` provides the independent reference: second-order
 central differences in time and space with the damping term averaged
 across time levels, so the scheme stays second order in dt.
+
+Each solver bounds its work before any of it runs, through its planner
+(``_plan_spectral``, ``_plan_fd``), which the CLI also calls when it
+reads a spec: the spectral solver inverts at most 50,000 mode-times,
+(M/2 + 1) modes times the positive output times, and the fd solver
+takes at most 1,000,000 steps.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from math import inf, pi, sqrt
 
 import numpy as np
 
-from .errors import DomainError, StabilityError, refuse_non_finite
+from .errors import DomainError, StabilityError, float_power, refuse_non_finite
 from .errors import InstabilityWarning
 from .kinetics import invert_three_term
 from .laplace import ThreeTermAlpha, ThreeTermBeta
@@ -38,6 +44,13 @@ from .special_functions import DEFAULT_SERIES_CONFIG, SeriesConfig
 # Fourier coefficients this far below the largest one are treated as
 # numerically absent and not given a per-mode inversion.
 _MODE_DROPTOL = 1e-13
+
+# Work bounds of the two solvers, checked by their planners before any
+# work runs. A stencil step takes 22-45 us at 16-1,024 modes, and a
+# spectral mode at one output time (two invert_three_term calls) about
+# 1 ms at M = 16-128, both on a 2-vCPU VM: under a minute at either bound.
+_MAX_FD_STEPS = 1_000_000
+_MAX_MODE_TIMES = 50_000
 
 
 @dataclass(frozen=True)
@@ -125,8 +138,19 @@ def _mode_kernels(a: float, b: float, t: float, cfg: SeriesConfig) -> tuple[floa
     return l3, l4
 
 
+def _plan_spectral(problem: RDProblem) -> None:
+    """Refuse with DomainError a spectral solve of more than
+    ``_MAX_MODE_TIMES`` mode-times: (M/2 + 1) modes times the positive
+    output times, whatever share of the modes the initial data leaves."""
+    mode_times = (problem.modes // 2 + 1) * sum(t > 0.0 for t in problem.times)
+    if mode_times > _MAX_MODE_TIMES:
+        raise DomainError(f"the spectral solver inverts at most {_MAX_MODE_TIMES:,} mode-times "
+                          f"(modes x positive output times), got {mode_times:,}")
+
+
 def rd_solve_spectral(problem: RDProblem) -> RDSolution:
     """Solve by per-mode Laplace inversion of the Fourier transform."""
+    _plan_spectral(problem)
     m_grid = problem.modes
     c0 = np.fft.rfft(problem.n0)
     c1 = np.fft.rfft(problem.n1)
@@ -144,7 +168,7 @@ def rd_solve_spectral(problem: RDProblem) -> RDSolution:
             stacklevel=2,
         )
     max_arg = max(
-        (abs(info.b) * max(problem.times) ** 2 for info in keep),
+        (abs(info.b) * float_power(max(problem.times), 2) for info in keep),
         default=0.0,
     )
     cfg = DEFAULT_SERIES_CONFIG
@@ -165,21 +189,32 @@ def rd_solve_spectral(problem: RDProblem) -> RDSolution:
                       mode_metadata=tuple(keep))
 
 
-def rd_solve_fd(problem: RDProblem, dt: float) -> RDSolution:
-    """Reference solver: centered differences in time and space."""
+def _plan_fd(problem: RDProblem, dt: float) -> list[int]:
+    """The step count of each output time at step dt; DomainError for a
+    dt that is not positive and finite, an output time that is not a
+    multiple of dt, or more than ``_MAX_FD_STEPS`` steps."""
     if not 0.0 < dt < inf:
         raise DomainError(f"time step must be positive and finite, got {dt}")
-    dx = problem.length / problem.modes
-    if dt > dx / sqrt(problem.nu2):
-        raise StabilityError(
-            f"dt={dt:.3g} violates the stability bound dx/sqrt(nu2)={dx / sqrt(problem.nu2):.3g}"
-        )
+    if problem.times[-1] > _MAX_FD_STEPS * dt:
+        raise DomainError(f"the fd solver takes at most {_MAX_FD_STEPS:,} steps, "
+                          f"got {problem.times[-1] / dt:.6g}")
     steps = []
     for t in problem.times:
         n = int(round(t / dt))
         if abs(n * dt - t) > 1e-9 * max(t, dt):
             raise DomainError(f"output time {t} is not a multiple of dt={dt}")
         steps.append(n)
+    return steps
+
+
+def rd_solve_fd(problem: RDProblem, dt: float) -> RDSolution:
+    """Reference solver: centered differences in time and space."""
+    steps = _plan_fd(problem, dt)
+    dx = problem.length / problem.modes
+    if dt > dx / sqrt(problem.nu2):
+        raise StabilityError(
+            f"dt={dt:.3g} violates the stability bound dx/sqrt(nu2)={dx / sqrt(problem.nu2):.3g}"
+        )
 
     lam = problem.nu2 * (dt / dx) ** 2
     xi2dt2 = (problem.xi * dt) ** 2

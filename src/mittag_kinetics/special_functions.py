@@ -99,7 +99,8 @@ from typing import Callable, Iterator
 import mpmath as mp
 import numpy as np
 
-from .errors import DomainError, NonConvergence, PoleError, refuse_non_count, refuse_non_finite
+from .errors import DomainError, NonConvergence, PoleError, float_power
+from .errors import refuse_non_count, refuse_non_finite
 
 #: Absolute tolerance used to decide that a Gamma argument sits on a pole.
 _POLE_TOL = 1e-12
@@ -666,12 +667,6 @@ def _ml_contour(params: MLParams, z: float) -> float | None:
         if found is None:
             continue
         scale, h, n = found
-        for _, pole in poles:  # log |residue|; a double pole's has (s* + 1 + nu - mu) / nu
-            log_residue = (pole + (1.0 - mu) * cmath.log(pole)).real - gam * math.log(nu)
-            if gam == 2.0:
-                log_residue += math.log(max(abs(pole + 1.0 + nu - mu), _ABS_FLOOR))
-            if log_residue > _LOG_FLOAT_MAX:
-                raise _beyond_float_range(params, z)
         value, error = _contour_sum(params, z, [k for k, _ in poles], scale, h, n, real)
         # node terms past float range (inf/inf where s^(nu gamma - mu) and
         # (s^nu - z)^gamma overflow apart) say nothing of the value, and
@@ -710,7 +705,7 @@ def _contour_sum(
     +-n h, plus the residues of the poles numbered ``ks`` (angle
     (arg z + 2 pi k) / nu, order gamma), summed in the float type ``real``;
     and the larger of its rounding and truncation estimates (see
-    ``_CONTOUR_ROUNDING_MAX``)."""
+    ``_CONTOUR_ROUNDING_MAX``); DomainError for a residue beyond float range."""
     nu, mu, gam, zz = real(params.nu), real(params.mu), real(params.gamma), real(z)
     u = h * np.arange(n + 1, dtype=real)
     s = scale * (1 + 1j * u) ** 2
@@ -723,10 +718,18 @@ def _contour_sum(
     if ks:
         angle = ((pi if z < 0 else 0) + 2 * pi * np.array(ks, dtype=real)) / nu
         poles = np.exp(np.log(abs(zz)) / nu) * (np.cos(angle) + 1j * np.sin(angle))
-        # (1/nu) s*^(1-mu) e^(s*), times (s* + 1 + nu - mu) / nu at a double pole
-        residues = np.exp(poles + (1 - mu) * np.log(poles))
+        # (1/nu) s*^(1-mu) e^(s*), times (s* + 1 + nu - mu) / nu at a double pole;
+        # refused, before exp, where s*^(1-mu) e^(s*), its product or the residue passes float range
+        log_residues = poles + (1 - mu) * np.log(poles)
+        log_peak = log_residues.real.max()
         if gam == 2:
-            residues *= (poles + 1 + nu - mu) / nu
+            factors = (poles + 1 + nu - mu) / nu
+            log_peak = (log_residues.real + np.log(np.maximum(abs(factors), 1))).max()
+        if log_peak - min(math.log(nu), 0.0) > _LOG_FLOAT_MAX:
+            raise _beyond_float_range(params, z)
+        residues = np.exp(log_residues)
+        if gam == 2:
+            residues *= factors
         value += residues.real.sum() / nu
     abs_sum = abs(terms[0]) + 2 * np.abs(terms[1:]).sum()
     error = h / (2 * math.pi) * max(float(np.finfo(real).eps * abs_sum), float(abs(terms[-1])))
@@ -816,7 +819,7 @@ def f_function(q: float, a: float, t: float, cfg: SeriesConfig = DEFAULT_SERIES_
         raise DomainError(f"q must be positive, got {q}")
     if not (t > 0):
         raise DomainError(f"t must be positive, got {t}")
-    return t ** (q - 1.0) * ml_eval(MLParams(nu=q, mu=q), -a * t**q, cfg)
+    return float_power(t, q - 1.0) * ml_eval(MLParams(q, q), -a * float_power(t, q), cfg)
 
 
 def r_function(
@@ -837,7 +840,7 @@ def r_function(
     if not (t > delta):
         raise DomainError(f"t must exceed delta, got t={t}, delta={delta}")
     x = t - delta
-    return x ** (nu - mu - 1.0) * ml_eval(MLParams(nu=nu, mu=nu - mu), a * x**nu, cfg)
+    return float_power(x, nu - mu - 1.0) * ml_eval(MLParams(nu, nu - mu), a * float_power(x, nu), cfg)
 
 
 def wright_eval(

@@ -380,6 +380,14 @@ class TestRdSolve:
     def test_tol_is_ignored(self, tmp_path):
         assert main(["rd-solve", "--spec", write_spec(tmp_path, self.spec()), "--tol", "0"]) == 0
 
+    def test_spectral_work_bound(self, tmp_path, capsys):
+        # 513 modes at 100 output times, about 50 s of inversions
+        spec = self.spec(m=1024)
+        spec["grid"] = {"start": 0.01, "stop": 1.0, "n": 100}
+        assert main(["rd-solve", "--spec", write_spec(tmp_path, spec)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "spec" and "50,000 mode-times" in err["message"]
+
     def test_fd_step_bound(self, tmp_path, capsys):
         # 2,000,000 steps of dt = 0.01 to t = 2e4, over a minute of stencil
         # work, are refused before any of it runs
@@ -433,6 +441,20 @@ class TestVerify:
         params = {"kind": "ml-source", "n0": 1.0, "c": 1.2, "nu": nu, "mu": mu}
         spec = {**self.spec, "parameters": params}
         assert main(["verify", "--spec", write_spec(tmp_path, spec)]) == 0
+
+
+@pytest.mark.parametrize("task, params, t", [
+    ("verify", {"kind": "power-source", "n0": 1.0, "c": 1e-200, "nu": 0.5, "mu": 3.0}, 1e100),
+    ("rd-solve", {"nu2": 1.0, "length": 1.0, "n0": [1.0, 0.0], "n1": [0.0, 0.0]}, 1e300),
+    ("invert-three-term", {"a": 0.0, "b": 1.0, "alpha": 2.0, "beta": 1.0}, 1e300),
+], ids=["verify", "rd-solve", "invert-three-term"])
+def test_beyond_float_range_is_numerical_failure(tmp_path, capsys, task, params, t):
+    # each exited 1 with a traceback from a float power's OverflowError
+    spec = {"version": "1", "parameters": params, "grid": {"start": t, "stop": t, "n": 1}}
+    assert main([task, "--spec", write_spec(tmp_path, spec)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip().splitlines()[-1])["error"]["kind"] == "numerical"
 
 
 class TestSpecValidation:

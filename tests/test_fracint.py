@@ -80,6 +80,25 @@ class TestRlIntegral:
         with pytest.raises(QuadratureFailure, match="not finite"):
             rl_integral(lambda u: 0.95e308, 1.4616, 2.0)
 
+    def test_moments_beyond_float_range_refused(self):
+        # the cell moments' scale t^(s + nu - 1) = (1e300)^1.5 raised an
+        # untyped OverflowError
+        with pytest.raises(QuadratureFailure, match="not finite"):
+            rl_integral(np.cos, 0.5, 1e300)
+
+    def test_cell_count_capped(self):
+        # h = 1e-300 raised a ValueError from np.arange, and h = 1e-9 would
+        # allocate 1e9 cells; both are refused before any sample is taken
+        def never(u):
+            raise AssertionError("sampled")
+
+        for h in (1e-300, 1e-9, 1.0 / 65537):
+            with pytest.raises(DomainError, match="65,536"):
+                rl_integral(never, 0.5, 1.0, FracIntConfig(h=h))
+        got = rl_integral(np.cos, 0.5, 1.0, FracIntConfig(h=1.0 / 65536))
+        want = ml_eval(MLParams(nu=2.0, mu=1.5), -1.0)
+        assert got == pytest.approx(want, rel=1e-9)
+
     @pytest.mark.parametrize("nu", [0.4, 0.9, 1.6])
     def test_cosine_cross_oracle(self, nu):
         # I^nu cos has the closed form t^nu E_{2,nu+1}(-t^2)
@@ -273,6 +292,13 @@ class TestResidualCheck:
         # at nu = 0.015 (a DomainError for the t = 0 sample of t^-0.5)
         with pytest.raises(QuadratureFailure, match="underflows"):
             residual_check(problem, solve(problem), [1.0])
+
+    def test_moments_beyond_float_range(self):
+        # t^(mu + nu) = (1e100)^3.5 in the cell moments raised an untyped
+        # OverflowError; c = 1e-200 keeps the solution itself in range
+        pr = KineticProblem(ProblemKind.POWER_SOURCE, n0=1.0, c=1e-200, nu=0.5, mu=3.0)
+        with pytest.raises(QuadratureFailure, match="not finite"):
+            residual_check(pr, solve(pr), [1e100])
 
     def test_grid_validation(self):
         pr = KineticProblem(ProblemKind.BASIC, n0=1.0, c=1.0, nu=0.5)

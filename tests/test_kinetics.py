@@ -202,6 +202,9 @@ class TestSolutionSeries:
             sol.evaluate(200.0)
         with pytest.raises(DomainError, match="float range"):
             sol.evaluate(np.array([1.0, 200.0]))
+        # (1e300)^1.5 in the argument of E raised one too
+        with pytest.raises(DomainError, match="float range"):
+            solve(KineticProblem(ProblemKind.BASIC, n0=1.0, c=1.0, nu=1.5)).evaluate(1e300)
 
     def test_sum_beyond_float_range(self):
         # two finite terms whose sum overflows
@@ -411,6 +414,12 @@ class TestInvertThreeTerm:
                            alpha=0.21390099888124747, beta=0.20975756267490261)
         with pytest.raises(DomainError, match="float range"):
             invert_three_term(d, t)
+
+    def test_power_beyond_float_range(self):
+        # t^alpha = (1e300)^2 raised an untyped OverflowError
+        d = ThreeTermAlpha(a=0.0, b=1.0, alpha=2.0, beta=1.0)
+        with pytest.raises(DomainError, match="float range"):
+            invert_three_term(d, 1e300)
 
     def test_divergence_guard(self):
         d = ThreeTermAlpha(a=8.0, b=1.0, alpha=2.0, beta=1.0)

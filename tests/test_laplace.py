@@ -224,6 +224,11 @@ class TestForwardNumeric:
         with pytest.raises(DomainError):
             lt_forward_numeric(lambda t: 1.0, 0.0)
 
+    def test_non_finite_value_refused(self):
+        # the integrand 1e308 e^(t/2) leaves float range: inf was returned
+        with pytest.raises(QuadratureFailure):
+            lt_forward_numeric(lambda t: 1e308 * math.exp(t), 0.5)
+
     def test_unreachable_tolerance(self):
         cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300)
         with pytest.raises(QuadratureFailure):
@@ -488,11 +493,26 @@ class TestTwoStageInversion:
         assert ThreeTermAlpha(a=0.6, b=4.0, alpha=2.0, beta=1.0).singular_points() == pytest.approx(
             [complex(-0.3, math.sqrt(3.91)), complex(-0.3, -math.sqrt(3.91))], rel=1e-15)
         assert ThreeTermAlpha(a=1.0, b=1.0, alpha=0.9, beta=0.4).singular_points() == ()
-        # unknown: the kinds with 1 < alpha <= 2 beyond the quadratic, and
-        # negative coefficients
+        # unknown but in the left half-plane: the kinds with 1 < alpha <= 2
+        # beyond the quadratic; with a negative coefficient they may lie
+        # anywhere, and no contour is chosen
         assert ThreeTermAlpha(a=1.0, b=1.0, alpha=1.5, beta=0.5).singular_points() is None
-        assert ThreeTermBeta(a=-1.0, b=1.0, alpha=0.9, beta=0.4).singular_points() is None
+        with pytest.raises(DomainError):
+            ThreeTermBeta(a=-1.0, b=1.0, alpha=0.9, beta=0.4).singular_points()
         assert LaplaceDensity(beta=1.0).singular_points() == ()
+
+    @pytest.mark.parametrize("d, want", [
+        (MLBasic(c=1.0, nu=2.0), math.cos(1.0)),
+        (TwoRateProduct(c=1.0, d=2.0, nu=2.0, mu=3.0), (math.cos(1.0) - math.cos(2.0)) / 3.0),
+    ], ids=["basic", "two-rate"])
+    def test_poles_on_the_imaginary_axis_stay_on_the_double_stage(self, monkeypatch, d, want):
+        # at nu = 2 the poles +-i c lie on the imaginary axis: their right
+        # half-plane bound is exactly 0, not the 6e-17 c that
+        # cmath.exp(i pi/2) gives, which would send these to mpmath
+        assert max(p.real for p in d.singular_points()) == 0.0
+        calls = _count_stages(monkeypatch, run_mp=False)
+        assert lt_invert_numeric(d, 1.0) == pytest.approx(want, rel=1e-10)
+        assert calls == {"double": 2, "mp": 0}
 
     @staticmethod
     def _sweep_points():

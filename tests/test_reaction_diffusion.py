@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mittag_kinetics import special_functions
+from mittag_kinetics import reaction_diffusion, special_functions
 from mittag_kinetics.errors import DomainError, InstabilityWarning, StabilityError
 from mittag_kinetics.reaction_diffusion import (
     RDProblem,
@@ -180,6 +180,24 @@ class TestSpectral:
             )
             assert np.abs(sol.field[row] - np.fft.irfft(spec, n=m)).max() < 1e-12
 
+    def test_time_beyond_float_range_refused(self):
+        # max(times)^2 = (1e160)^2 raised an untyped OverflowError
+        with pytest.raises(DomainError, match="float range"):
+            rd_solve_spectral(make_problem(m=4, times=(1e160,)))
+
+    def test_work_bound(self, monkeypatch):
+        # 513 modes at 100 positive times, about 50 s of inversions, are
+        # refused before any of them runs; 513 at 97 pass the bound
+        def no_inversion(*args):
+            raise AssertionError("a mode was inverted")
+
+        monkeypatch.setattr(reaction_diffusion, "_mode_kernels", no_inversion)
+        times = tuple(0.01 * k for k in range(101))
+        with pytest.raises(DomainError, match="50,000 mode-times"):
+            rd_solve_spectral(make_problem(m=1024, times=times))
+        with pytest.raises(AssertionError, match="inverted"):
+            rd_solve_spectral(make_problem(m=1024, times=times[:98]))
+
     def test_metadata_lists_retained_modes(self):
         m, k = 32, 4
         x = grid(m)
@@ -202,6 +220,12 @@ class TestFiniteDifference:
         # NaN once reached int(round(t / dt)) and raised an untyped ValueError
         with pytest.raises(DomainError, match="time step"):
             rd_solve_fd(make_problem(m=16), dt)
+
+    def test_step_bound(self):
+        # about 1e301 steps were planned, and run until stopped
+        pr = RDProblem(nu2=1.0, length=1.0, n0=np.ones(4), n1=np.zeros(4), times=(1e300,))
+        with pytest.raises(DomainError, match="1,000,000 steps"):
+            rd_solve_fd(pr, 0.1)
 
     def test_overflow_refused(self):
         # a field that leaves float range is refused, not returned as inf

@@ -209,14 +209,18 @@ class TestMLEval:
         lambda: ml_eval(MLParams(nu=0.5, gamma=3.0), 27.0),
         lambda: ml_eval(MLParams(nu=2.0, mu=1.0, gamma=2.0), 1e6, SeriesConfig(max_abs_z=2e6)),
         lambda: ml_eval(MLParams(nu=0.0009), 2.0),
-    ], ids=["ml-27", "ml-30", "wright-50", "ml-sum", "ml-scan", "ml-hyper", "ml-residue"])
+        lambda: f_function(2.5, 1.0, 1e300),
+        lambda: r_function(1.5, 0.5, 1.0, 0.0, 1e300),
+    ], ids=["ml-27", "ml-30", "wright-50", "ml-sum", "ml-scan", "ml-hyper", "ml-residue",
+            "f-power", "r-power"])
     def test_provable_overflow_refused_without_mp_rerun(self, monkeypatch, evaluate):
         # every term is positive and their sum is beyond float range: the
         # largest alone is (10^318, 10^392, 10^1084), or, for ml-sum, is not
         # (10^306.6, the sum 10^308.7); no mpmath rerun is needed to say so.
         # The gamma = 1 and 2 values at nu < 2 are refused by the contour's
         # residue, ml-scan (no contour at gamma = 3) by the log-space scan
-        # and ml-hyper (nu = 2) by the hypergeometric stage
+        # and ml-hyper (nu = 2) by the hypergeometric stage. The response
+        # functions' powers t^1.5 of t = 1e300 raised an untyped OverflowError
         def no_mp_series(*args):
             raise AssertionError("mpmath series used")
 
